@@ -234,7 +234,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_report(report: dict) -> str:
-    return json.dumps(_round15(report), sort_keys=True, indent=2) + "\n"
+    """Strict JSON text of ``report``; a NaN or infinity raises ValueError (exit 3)."""
+    try:
+        return json.dumps(_round15(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"report holds a non-finite value: {exc}") from exc
 
 
 def _fmt_float(x: float) -> str:

@@ -13,7 +13,11 @@ probability.
 
 Every optical element is a linear map on the flattened amplitude vector,
 wrapped in an :class:`ElementOp` that records whether the map is unitary or
-attenuating and how it is structured (permutation, diagonal, block, dense).
+attenuating.  Each element acts on one axis of the (2, d, d+1) state: an
+index map, a diagonal, or a 2x2 block.  It is stored as that action in
+gather form, where every output amplitude is a sum of K input amplitudes
+times coefficients, so applying it costs O(K D) rather than the O(D^2) of a
+dense matrix; :func:`compose` multiplies gather forms and keeps K small.
 """
 
 from __future__ import annotations
@@ -144,85 +148,207 @@ def survival_probability(state: PhotonState) -> float:
     return state.survival
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ElementOp:
     """A linear optical element acting on the full simulation space.
 
+    The element is stored as its action in gather form: amplitude ``i`` of
+    the output is ``sum_k coeff[k, i] * input[index[k, i]]`` over the flat
+    basis.  Index maps and diagonals need one term per amplitude (``K = 1``),
+    the 2x2 blocks two, so applying an element costs O(K D) for a space of
+    dimension D.
+
     ``kind`` is ``"unitary"`` (norm preserving) or ``"attenuator"`` (a
     contraction).  ``structure`` is a purely descriptive tag used by tests
-    and traces: ``"permutation"``, ``"diagonal"``, ``"block"`` or ``"dense"``.
+    and traces: ``"permutation"``, ``"diagonal"``, ``"block"``,
+    ``"composite"`` or ``"dense"``.
+
+    ``ElementOp(label, kind, structure, d, matrix)`` converts a dense
+    ``D x D`` matrix to gather form; the constructors in this module build
+    the gather form directly through :meth:`gather`.  ``matrix`` is a
+    read-only dense view, built on each access, for checks at small d.
     """
 
     label: str
     kind: str
     structure: str
     d: int
-    matrix: np.ndarray
+    index: np.ndarray
+    coeff: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.kind not in (UNITARY, ATTENUATOR):
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        m = np.array(self.matrix, dtype=np.complex128)
-        n = space_dim(self.d)
+    def __init__(self, label: str, kind: str, structure: str, d: int, matrix: np.ndarray) -> None:
+        m = np.asarray(matrix, dtype=np.complex128)
+        n = space_dim(d)
         if m.shape != (n, n):
-            raise ValueError(f"element matrix must be {n}x{n} for d={self.d}, got {m.shape}")
+            raise ValueError(f"element matrix must be {n}x{n} for d={d}, got {m.shape}")
+        rows, cols = np.nonzero(m)
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = max(int(counts.max()), 1)
+        index = np.zeros((width, n), dtype=np.intp)
+        coeff = np.zeros((width, n), dtype=np.complex128)
+        index[slot, rows] = cols
+        coeff[slot, rows] = m[rows, cols]
+        self._set(label, kind, structure, d, index, coeff)
+
+    @classmethod
+    def gather(cls, label: str, kind: str, structure: str, d: int,
+               index: np.ndarray, coeff: np.ndarray) -> "ElementOp":
+        """Element from its gather form, ``index`` and ``coeff`` of shape (K, D)."""
+        op = cls.__new__(cls)
+        op._set(label, kind, structure, d, index, coeff)
+        return op
+
+    def _set(self, label: str, kind: str, structure: str, d: int,
+             index: np.ndarray, coeff: np.ndarray) -> None:
+        if kind not in (UNITARY, ATTENUATOR):
+            raise ValueError(f"unknown element kind {kind!r}")
+        n = space_dim(d)
+        index = np.array(index, dtype=np.intp)
+        coeff = np.array(coeff, dtype=np.complex128)
+        if index.ndim != 2 or index.shape[0] < 1 or index.shape[1] != n \
+                or coeff.shape != index.shape:
+            raise ValueError(f"gather form must be two (K, {n}) arrays for d={d}, "
+                             f"got {index.shape} and {coeff.shape}")
+        if index.min() < 0 or index.max() >= n:
+            raise ValueError(f"gather index outside the {n} basis states")
+        index.setflags(write=False)
+        coeff.setflags(write=False)
+        # ``_terms`` holds the (index, coeff) rows, unpacked once for apply_flat.
+        for name, value in (("label", label), ("kind", kind), ("structure", structure),
+                            ("d", d), ("index", index), ("coeff", coeff),
+                            ("_terms", tuple(zip(index, coeff)))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``D x D`` matrix of the action, read-only."""
+        n = space_dim(self.d)
+        m = np.zeros((n, n), dtype=np.complex128)
+        np.add.at(m, (np.broadcast_to(np.arange(n), self.index.shape), self.index), self.coeff)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
+
+    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
+        """Action on a flat amplitude vector; returns a new vector."""
+        (index, coeff), *rest = self._terms
+        out = coeff * vec[index]
+        for index, coeff in rest:
+            out += coeff * vec[index]
+        return out
 
     def apply(self, state: PhotonState) -> PhotonState:
         if state.d != self.d:
             raise ValueError(f"element built for d={self.d} applied to state with d={state.d}")
-        return PhotonState.from_flat(state.d, self.matrix @ state.flat)
+        return PhotonState.from_flat(state.d, self.apply_flat(state.flat))
 
     def __repr__(self) -> str:  # noqa: D105
         return f"ElementOp({self.label!r}, kind={self.kind}, structure={self.structure}, d={self.d})"
 
 
+def _merge_terms(index: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the terms of each output amplitude that gather the same source."""
+    cols = np.arange(index.shape[1])
+    order = np.argsort(index, axis=0, kind="stable")
+    index, coeff = index[order, cols], coeff[order, cols]
+    new_source = np.empty(index.shape, dtype=bool)
+    new_source[0] = True
+    new_source[1:] = index[1:] != index[:-1]
+    slot = new_source.cumsum(axis=0) - 1
+    width = int(slot[-1].max()) + 1
+    # Padding terms gather the first source with a zero coefficient.
+    merged_index = np.repeat(index[:1], width, axis=0)
+    merged_coeff = np.zeros((width, index.shape[1]), dtype=np.complex128)
+    merged_index[slot, cols] = index
+    np.add.at(merged_coeff, (slot, cols), coeff)
+    return merged_index, merged_coeff
+
+
 def compose(ops: Sequence[ElementOp], label: str | None = None) -> ElementOp:
-    """Single element equivalent to applying ``ops`` in list order."""
+    """Single element equivalent to applying ``ops`` in list order.
+
+    Each step substitutes the running product into the next element's gather
+    form; when that multiplies K, terms that read the same source amplitude
+    are merged, so a product of index maps, diagonals and 2x2 blocks on one
+    pair keeps ``K <= 2``.
+    """
     if not ops:
         raise ValueError("cannot compose an empty element sequence")
     d = ops[0].d
     if any(op.d != d for op in ops):
         raise ValueError("cannot compose elements built for different d")
-    matrix = ops[0].matrix
+    n = space_dim(d)
+    index, coeff = ops[0].index, ops[0].coeff
     for op in ops[1:]:
-        matrix = op.matrix @ matrix
+        # K multiplies only when both forms have several terms.
+        grows = len(index) > 1 and len(op.index) > 1
+        index = index[:, op.index].reshape(-1, n)
+        coeff = (coeff[:, op.index] * op.coeff).reshape(-1, n)
+        if grows:
+            index, coeff = _merge_terms(index, coeff)
     kind = ATTENUATOR if any(op.kind == ATTENUATOR for op in ops) else UNITARY
-    structure = "permutation" if all(op.structure == "permutation" for op in ops) else "dense"
+    structures = {op.structure for op in ops}
+    structure = structures.pop() if structures in ({"permutation"}, {"diagonal"}) else "composite"
     if label is None:
         label = " > ".join(op.label for op in ops)
-    return ElementOp(label, kind, structure, d, matrix)
+    return ElementOp.gather(label, kind, structure, d, index, coeff)
 
 
 def permutation_op(
     d: int,
-    site_map: Callable[[int, int, int], tuple[int, int, int]],
+    site_map: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     label: str,
 ) -> ElementOp:
     """Unitary element that permutes basis states via ``site_map``.
 
-    ``site_map`` maps (pol, ell, mode) to its image; it must be a bijection
-    on the basis.
+    ``site_map`` maps the (pol, ell, mode) label arrays of all basis states,
+    of shape (2, d, d+1), to their images (arrays broadcasting to that
+    shape); it must be a bijection on the basis.
     """
     n = space_dim(d)
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    hit = np.zeros(n, dtype=bool)
-    for pol in (POL_H, POL_V):
-        for ell in range(d):
-            for mode in range(d + 1):
-                src = basis_index(d, pol, ell, mode)
-                dst = basis_index(d, *site_map(pol, ell, mode))
-                if hit[dst]:
-                    raise ValueError(f"{label}: site map is not a bijection (target {dst} hit twice)")
-                hit[dst] = True
-                matrix[dst, src] = 1.0
-    return ElementOp(label, UNITARY, "permutation", d, matrix)
+    shape = (2, d, d + 1)
+    try:
+        dst = np.ravel_multi_index(np.broadcast_arrays(*site_map(*np.indices(shape))), shape)
+    except ValueError as exc:
+        raise ValueError(f"{label}: site map leaves the basis") from exc
+    dst = dst.ravel()
+    hits = np.bincount(dst, minlength=n)
+    if hits.max() > 1:
+        raise ValueError(f"{label}: site map is not a bijection "
+                         f"(target {int(hits.argmax())} hit twice)")
+    index = np.empty(n, dtype=np.intp)
+    index[dst] = np.arange(n)
+    return ElementOp.gather(label, UNITARY, "permutation", d, index[None], np.ones((1, n)))
 
 
 def diagonal_op(d: int, factors: np.ndarray, label: str, kind: str) -> ElementOp:
     """Element that multiplies each basis amplitude by a fixed factor."""
-    return ElementOp(label, kind, "diagonal", d, np.diag(np.asarray(factors, dtype=np.complex128)))
+    n = space_dim(d)
+    factors = np.asarray(factors, dtype=np.complex128).reshape(1, -1)
+    return ElementOp.gather(label, kind, "diagonal", d, np.arange(n)[None], factors)
+
+
+def block_op(d: int, block: np.ndarray, first: np.ndarray, second: np.ndarray,
+             label: str) -> ElementOp:
+    """Unitary element applying the 2x2 ``block`` to each amplitude pair.
+
+    Pair j is (``first[j]``, ``second[j]``) in flat indices; the block maps
+    the pair's amplitudes (a, b) to (b00 a + b01 b, b10 a + b11 b).
+    Amplitudes outside every pair pass unchanged.
+    """
+    n = space_dim(d)
+    index = np.tile(np.arange(n), (2, 1))
+    coeff = np.zeros((2, n), dtype=np.complex128)
+    coeff[0] = 1.0
+    for sites, row in ((first, block[0]), (second, block[1])):
+        index[:, sites] = first, second
+        coeff[:, sites] = row[:, None]
+    return ElementOp.gather(label, UNITARY, "block", d, index, coeff)
+
+
+def _sites(d: int) -> np.ndarray:
+    """Flat index of every basis state, shaped (2, d, d+1) like the amplitudes."""
+    return np.arange(space_dim(d)).reshape(2, d, d + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +372,8 @@ def beam_splitter(d: int, convention: str = "hadamard") -> ElementOp:
         block = np.array([[r, 1j * r], [1j * r, r]], dtype=np.complex128)
     else:
         raise ValueError(f"unknown beam splitter convention {convention!r}")
-    sub = np.eye(d + 1, dtype=np.complex128)
-    sub[0, 0] = block[0, 0]
-    sub[0, d] = block[0, 1]
-    sub[d, 0] = block[1, 0]
-    sub[d, d] = block[1, 1]
-    matrix = np.kron(np.eye(2 * d, dtype=np.complex128), sub)
-    return ElementOp(f"BS({convention})", UNITARY, "block", d, matrix)
+    sites = _sites(d)
+    return block_op(d, block, sites[..., 0].ravel(), sites[..., d].ravel(), f"BS({convention})")
 
 
 def polarising_beam_splitter(d: int) -> ElementOp:
@@ -263,12 +384,9 @@ def polarising_beam_splitter(d: int) -> ElementOp:
     (V on 0 returns to d).  H passes straight through.
     """
 
-    def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
-        if pol == POL_V and mode == 0:
-            return pol, ell, d
-        if pol == POL_V and mode == d:
-            return pol, ell, 0
-        return pol, ell, mode
+    def site_map(pol, ell, mode):
+        v = pol == POL_V
+        return pol, ell, np.where(v & (mode == 0), d, np.where(v & (mode == d), 0, mode))
 
     return permutation_op(d, site_map, "PBS")
 
@@ -281,8 +399,8 @@ def polarisation_rotator(theta: float, d: int) -> ElementOp:
     """
     c, s = np.cos(theta), np.sin(theta)
     block = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    matrix = np.kron(block, np.eye(d * (d + 1), dtype=np.complex128))
-    return ElementOp(f"R({theta:.6g})", UNITARY, "block", d, matrix)
+    sites = _sites(d)
+    return block_op(d, block, sites[POL_H].ravel(), sites[POL_V].ravel(), f"R({theta:.6g})")
 
 
 def oam_sorter(d: int, inverse: bool = False) -> ElementOp:
@@ -295,10 +413,8 @@ def oam_sorter(d: int, inverse: bool = False) -> ElementOp:
     """
     sign = -1 if inverse else 1
 
-    def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
-        if mode == d:
-            return pol, ell, mode
-        return pol, ell, (mode + sign * ell) % d
+    def site_map(pol, ell, mode):
+        return pol, ell, np.where(mode == d, mode, (mode + sign * ell) % d)
 
     name = "S^-1" if inverse else "S"
     return permutation_op(d, site_map, name)
@@ -313,10 +429,8 @@ def oam_converter(d: int, inverse: bool = False) -> ElementOp:
     """
     sign = 1 if inverse else -1
 
-    def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
-        if mode == d:
-            return pol, ell, mode
-        return pol, (ell + sign * mode) % d, mode
+    def site_map(pol, ell, mode):
+        return pol, np.where(mode == d, ell, (ell + sign * mode) % d), mode
 
     name = "c^-1" if inverse else "c"
     return permutation_op(d, site_map, name)
@@ -333,23 +447,20 @@ def object_attenuator(pattern: "PixelPattern", placement: str) -> ElementOp:
     """
     d = pattern.d
     roots = np.sqrt(np.asarray(pattern.transmissions, dtype=np.float64))
-    factors = np.ones(space_dim(d), dtype=np.complex128)
-    for pol in (POL_H, POL_V):
-        for ell in range(d):
-            if placement == "pixel-paths":
-                for mode in range(d):
-                    factors[basis_index(d, pol, ell, mode)] = roots[mode]
-            elif placement == "oam-diagonal":
-                factors[basis_index(d, pol, ell, 0)] = roots[ell]
-            else:
-                raise ValueError(f"unknown object placement {placement!r}")
+    factors = np.ones((2, d, d + 1), dtype=np.complex128)
+    if placement == "pixel-paths":
+        factors[:, :, :d] = roots
+    elif placement == "oam-diagonal":
+        factors[:, :, 0] = roots
+    else:
+        raise ValueError(f"unknown object placement {placement!r}")
     return diagonal_op(d, factors, f"object({placement})", ATTENUATOR)
 
 
 def pockels_flip(d: int) -> ElementOp:
     """Switched-on Pockels cells: a 90 degree flip exchanging H and V."""
 
-    def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
+    def site_map(pol, ell, mode):
         return 1 - pol, ell, mode
 
     return permutation_op(d, site_map, "P")
@@ -362,11 +473,11 @@ def mirror_reflect(kind: str, d: int) -> ElementOp:
     a plain mirror maps |ell> to |-ell mod d>.
     """
     if kind == "retro":
-        def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
+        def site_map(pol, ell, mode):
             return pol, ell, mode
         return permutation_op(d, site_map, "RR")
     if kind == "plain":
-        def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
+        def site_map(pol, ell, mode):
             return pol, (d - ell) % d, mode
         return permutation_op(d, site_map, "M")
     raise ValueError(f"unknown mirror kind {kind!r}")
@@ -380,10 +491,8 @@ def arm_mirrors(d: int) -> ElementOp:
     reference mode d sees a retro-reflector and is untouched.
     """
 
-    def site_map(pol: int, ell: int, mode: int) -> tuple[int, int, int]:
-        if mode == d:
-            return pol, ell, mode
-        return pol, (d - ell) % d, mode
+    def site_map(pol, ell, mode):
+        return pol, np.where(mode == d, ell, (d - ell) % d), mode
 
     return permutation_op(d, site_map, "arm mirrors")
 
@@ -530,13 +639,19 @@ class DetectionDistribution:
         )
 
 
-def detection_distribution(state: PhotonState, detector_map: DetectorMap) -> DetectionDistribution:
+def detection_distribution(
+    state: PhotonState,
+    detector_map: DetectorMap,
+    rounding_budget: float = 0.0,
+) -> DetectionDistribution:
     """Project a final state onto the detector basis.
 
     Detector probabilities are the squared amplitude mass routed to each
     label; the absorption probability is the state's norm deficit.  All
     probability mass must be covered, so amplitude on undetected basis
-    states is an error.
+    states is an error.  ``rounding_budget`` is the norm drift the evolution
+    that produced ``state`` may have accumulated by rounding alone; a
+    deficit within it reads as zero absorption, one beyond it is kept.
     """
     if state.d != detector_map.d:
         raise ValueError("state and detector map dimensions differ")
@@ -552,9 +667,9 @@ def detection_distribution(state: PhotonState, detector_map: DetectorMap) -> Det
     )
     survival = float(weights.sum())
     p_abs = 1.0 - survival
-    # Numerical floor: unitary evolution drifts the norm by a few ulp per
-    # element application, which must not masquerade as absorption.
-    if abs(p_abs) < 1e-13:
+    # Unitary evolution drifts the norm by a few ulp per element
+    # application, which must not masquerade as absorption (or gain).
+    if abs(p_abs) <= rounding_budget:
         p_abs = 0.0
     probabilities = {label: float(sums[i]) for i, label in enumerate(detector_map.labels)}
     return DetectionDistribution(probabilities, p_abs)

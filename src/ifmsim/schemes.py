@@ -11,8 +11,10 @@ Each scheme is an ordered list of optical elements plus a detector map:
 * ``semitransparent-zeno``  - the cycling scheme with arbitrary per-pixel
                               transmissions.
 
-``run_scheme`` evolves the input photon cycle by cycle, records a survival
-trace and projects the final state on the detectors.
+``run_scheme`` composes each scheme's cycle into one gather-form element,
+applies it once per cycle (O(D) work each) while recording the survival
+trace, and projects the final state on the detectors.  Every cycle count
+runs through this one path.
 """
 
 from __future__ import annotations
@@ -37,10 +39,14 @@ from ifmsim.core import (
     PixelPattern,
 )
 
-# Beyond this cycle count the final state is computed by matrix power
-# (repeated squaring) instead of element-by-element application, keeping
-# the number of rounding events logarithmic in N.
-SEQUENTIAL_CYCLE_LIMIT = 256
+# Rounding budget of a run: a norm deficit within
+# c * eps * (element applications) is rounding, not absorption, with c below.
+# Over 1096 unitary runs (transparent objects, all six kinds, d <= 24,
+# N <= 10^4, both encoder forms and beam splitter conventions) the largest
+# |1 - survival| / (eps * applications) was 1.0, reached by three-element
+# single-pass runs; cycling runs stayed below 0.15 (0.047 for the
+# d=8, N=5000 run that reported p_abs = -4.2e-13).  c = 2 doubles the worst.
+ROUNDING_ULPS_PER_APPLICATION = 2.0
 
 
 @dataclass(frozen=True)
@@ -267,42 +273,31 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    Returns the final (sub-normalized) state, the detection distribution and
-    the per-cycle survival trace.
+    The cycle's elements are composed once and the product is applied
+    ``n_cycles`` times, so each cycle costs O(D).  Returns the final
+    (sub-normalized) state, the detection distribution and the per-cycle
+    survival trace.
     """
     built = build_scheme(config)
-    state = core.make_initial_state(config.d, config.kind)
-    vec = state.flat.copy()
+    cycle = core.compose(built.cycle_elements, label="cycle")
+    vec = core.make_initial_state(config.d, config.kind).flat
 
     survivals: list[float] = []
     p_cycle: list[float] = []
     prev = 1.0
-
-    if built.n_cycles <= SEQUENTIAL_CYCLE_LIMIT:
-        for _ in range(built.n_cycles):
-            for op in built.cycle_elements:
-                vec = op.matrix @ vec
-            s = float(np.vdot(vec, vec).real)
-            p_cycle.append(1.0 - s / prev if prev > 0.0 else 0.0)
-            survivals.append(s)
-            prev = s
-        final_vec = vec
-    else:
-        cycle_op = core.compose(built.cycle_elements, label="cycle")
-        m = cycle_op.matrix
-        for _ in range(built.n_cycles):
-            vec = m @ vec
-            s = float(np.vdot(vec, vec).real)
-            p_cycle.append(1.0 - s / prev if prev > 0.0 else 0.0)
-            survivals.append(s)
-            prev = s
-        final_vec = np.linalg.matrix_power(m, built.n_cycles) @ state.flat
-
+    for _ in range(built.n_cycles):
+        vec = cycle.apply_flat(vec)
+        s = float(np.vdot(vec, vec).real)
+        p_cycle.append(1.0 - s / prev if prev > 0.0 else 0.0)
+        survivals.append(s)
+        prev = s
     for op in built.switch_out:
-        final_vec = op.matrix @ final_vec
+        vec = op.apply_flat(vec)
 
-    final_state = PhotonState.from_flat(config.d, final_vec)
-    distribution = core.detection_distribution(final_state, built.detector_map)
+    applications = built.n_cycles * len(built.cycle_elements) + len(built.switch_out)
+    budget = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps * applications
+    final_state = PhotonState.from_flat(config.d, vec)
+    distribution = core.detection_distribution(final_state, built.detector_map, budget)
     trace = SchemeTrace(tuple(survivals), tuple(p_cycle))
     return SchemeResult(final_state, distribution, trace)
 

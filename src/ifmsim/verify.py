@@ -3,7 +3,8 @@
 Each check returns a named pass/fail result; the CLI ``verify`` command runs
 them all and exits nonzero if any fail.  Element constructors are looked up
 on the core module at call time so a faulty element injected by a test is
-caught by the structural suites.
+caught by the structural suites, which run each element's gather-form
+action, the one the simulator applies.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def check_unitarity(seed: int = 7) -> CheckResult:
             for _ in range(100 // len(_all_unitaries(d, 0.37)) + 1):
                 v = rng.normal(size=n) + 1j * rng.normal(size=n)
                 v /= np.linalg.norm(v)
-                out = op.matrix @ v
+                out = op.apply_flat(v)
                 worst = max(worst, abs(float(np.vdot(out, out).real) - 1.0))
     return CheckResult("unitarity", worst <= 1e-12, f"max norm drift {worst:.3e}")
 
@@ -74,7 +75,7 @@ def check_attenuator_contraction(seed: int = 11) -> CheckResult:
                 op = core.object_attenuator(_random_pattern(rng, d, binary=False), placement)
                 v = rng.normal(size=n) + 1j * rng.normal(size=n)
                 v /= np.linalg.norm(v)
-                out = op.matrix @ v
+                out = op.apply_flat(v)
                 worst = max(worst, float(np.vdot(out, out).real) - 1.0)
     return CheckResult("attenuator-contraction", worst <= 1e-12, f"max norm excess {worst:.3e}")
 
@@ -95,7 +96,7 @@ def check_permutation_inverses(seed: int = 13) -> CheckResult:
         ]
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         for op, inv in pairs:
-            back = inv.matrix @ (op.matrix @ v)
+            back = inv.apply_flat(op.apply_flat(v))
             if not np.array_equal(back, v):
                 ok = False
                 detail = f"{op.label} then {inv.label} is not an exact identity at d={d}"

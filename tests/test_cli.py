@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from ifmsim import cli, core, verify
+from ifmsim import cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ifmsim.core import ElementOp, space_dim
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 def run_json(capsys, argv):
@@ -223,6 +227,26 @@ class TestCmdShots:
         estimates = report["reconstruction"]["transmission_estimates"]
         assert estimates[0] < estimates[1]
         assert report["pattern_match"] is None
+
+    def test_unitary_run_reports_zero_absorption_as_strict_json(self, capsys):
+        # Rounding drifted this run's norm above 1, which used to come out
+        # as p_abs = -4e-13 and a bare NaN z-score for the absorbed outcome.
+        code = main(["shots", "--scheme", "multipixel-zeno", "--d", "8", "--N", "5000",
+                     "--pattern", "00000000", "--shots", "1000"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert report["exact"]["p_abs"] == 0.0
+        assert report["violations"] == []
+
+    def test_non_finite_value_exits_numeric_without_output(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "statistical_check",
+                            lambda counts, dist: experiment.StatCheck({"D0_h": float("nan")}, ()))
+        code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
+                     "--pattern", "10", "--shots", "1000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_zero_shots_rejected(self, capsys):
         code = main(["shots", "--scheme", "ev-single-pass", "--d", "1",

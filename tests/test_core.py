@@ -350,6 +350,14 @@ class TestDetection:
         with pytest.raises(ValueError, match="undetected"):
             core.detection_distribution(state, dmap)
 
+    def test_rounding_budget_zeroes_only_deficits_within_it(self):
+        d = 1
+        dmap = DetectorMap.from_groups(d, {"A": [(POL_H, 0, 0)], "B": [(POL_V, 0, 0)]})
+        state = PhotonState(d, basis_state(d, POL_H, 0, 0).amps * math.sqrt(1.0 - 1e-12))
+        assert core.detection_distribution(state, dmap, rounding_budget=2e-12).p_abs == 0.0
+        kept = core.detection_distribution(state, dmap, rounding_budget=5e-13).p_abs
+        assert kept == pytest.approx(1e-12, rel=1e-3)
+
     def test_distribution_total_validated(self):
         with pytest.raises(ValueError):
             DetectionDistribution({"A": 0.5}, 0.1)
@@ -371,3 +379,143 @@ class TestPixelPattern:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PixelPattern(())
+
+
+# ---------------------------------------------------------------------------
+# Dense references: the matrix builders the engine used before the gather
+# form.  Permutations go through a scalar site map and a Python loop, blocks
+# through np.kron, diagonals through per-amplitude loops.
+# ---------------------------------------------------------------------------
+
+def dense_permutation(d, site_map):
+    n = space_dim(d)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    for pol in (POL_H, POL_V):
+        for ell in range(d):
+            for mode in range(d + 1):
+                src = basis_index(d, pol, ell, mode)
+                matrix[basis_index(d, *site_map(pol, ell, mode)), src] = 1.0
+    return matrix
+
+
+def dense_beam_splitter(d, convention):
+    r = 1.0 / np.sqrt(2.0)
+    block = {"hadamard": [[r, r], [r, -r]], "symmetric": [[r, 1j * r], [1j * r, r]]}[convention]
+    sub = np.eye(d + 1, dtype=np.complex128)
+    sub[0, 0], sub[0, d], sub[d, 0], sub[d, d] = block[0][0], block[0][1], block[1][0], block[1][1]
+    return np.kron(np.eye(2 * d, dtype=np.complex128), sub)
+
+
+def dense_rotator(theta, d):
+    c, s = np.cos(theta), np.sin(theta)
+    block = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.kron(block, np.eye(d * (d + 1), dtype=np.complex128))
+
+
+def dense_object(pattern, placement):
+    d = pattern.d
+    roots = np.sqrt(np.asarray(pattern.transmissions, dtype=np.float64))
+    factors = np.ones(space_dim(d), dtype=np.complex128)
+    for pol in (POL_H, POL_V):
+        for ell in range(d):
+            if placement == "pixel-paths":
+                for mode in range(d):
+                    factors[basis_index(d, pol, ell, mode)] = roots[mode]
+            else:
+                factors[basis_index(d, pol, ell, 0)] = roots[ell]
+    return np.diag(factors)
+
+
+def scalar_site_maps(d):
+    """(constructor, scalar site map) for every index-map element."""
+    def pbs(p, e, m):
+        if p == POL_V and m in (0, d):
+            return p, e, d - m
+        return p, e, m
+
+    def shift_mode(sign):
+        return lambda p, e, m: (p, e, m) if m == d else (p, e, (m + sign * e) % d)
+
+    def shift_oam(sign):
+        return lambda p, e, m: (p, e, m) if m == d else (p, (e + sign * m) % d, m)
+
+    return [
+        (lambda: core.polarising_beam_splitter(d), pbs),
+        (lambda: core.oam_sorter(d), shift_mode(1)),
+        (lambda: core.oam_sorter(d, inverse=True), shift_mode(-1)),
+        (lambda: core.oam_converter(d), shift_oam(-1)),
+        (lambda: core.oam_converter(d, inverse=True), shift_oam(1)),
+        (lambda: core.pockels_flip(d), lambda p, e, m: (1 - p, e, m)),
+        (lambda: core.mirror_reflect("retro", d), lambda p, e, m: (p, e, m)),
+        (lambda: core.mirror_reflect("plain", d), lambda p, e, m: (p, (d - e) % d, m)),
+        (lambda: core.arm_mirrors(d), lambda p, e, m: (p, e, m) if m == d else (p, (d - e) % d, m)),
+    ]
+
+
+class TestGatherFormAgainstDenseReference:
+    def test_index_maps_are_bit_exact(self):
+        rng = np.random.default_rng(20)
+        for d in range(1, 7):
+            v = random_state(rng, d).flat
+            for build, site_map in scalar_site_maps(d):
+                op = build()
+                reference = dense_permutation(d, site_map)
+                assert op.index.shape[0] == 1
+                assert np.array_equal(op.matrix, reference)
+                assert np.array_equal(op.apply_flat(v), reference @ v)
+
+    def test_diagonals_are_bit_exact(self):
+        rng = np.random.default_rng(21)
+        for d in range(1, 7):
+            v = random_state(rng, d).flat
+            pattern = PixelPattern(tuple(rng.random(d)))
+            for placement in ("pixel-paths", "oam-diagonal"):
+                op = core.object_attenuator(pattern, placement)
+                reference = dense_object(pattern, placement)
+                assert op.index.shape[0] == 1
+                assert np.array_equal(op.matrix, reference)
+                assert np.array_equal(op.apply_flat(v), reference @ v)
+
+    def test_blocks_match_within_rounding(self):
+        rng = np.random.default_rng(22)
+        for d in range(1, 7):
+            v = random_state(rng, d).flat
+            theta = float(rng.uniform(0.0, np.pi / 2))
+            cases = [
+                (core.beam_splitter(d), dense_beam_splitter(d, "hadamard")),
+                (core.beam_splitter(d, "symmetric"), dense_beam_splitter(d, "symmetric")),
+                (core.polarisation_rotator(theta, d), dense_rotator(theta, d)),
+            ]
+            for op, reference in cases:
+                assert op.index.shape[0] == 2
+                assert np.array_equal(op.matrix, reference)
+                assert np.max(np.abs(op.apply_flat(v) - reference @ v)) <= 1e-15
+
+    def test_dense_input_converts_to_the_same_action(self):
+        rng = np.random.default_rng(23)
+        d = 3
+        pattern = PixelPattern.from_bits("101")
+        reference = dense_rotator(0.4, d) @ dense_object(pattern, "pixel-paths")
+        op = core.ElementOp("dense", core.ATTENUATOR, "dense", d, reference)
+        v = random_state(rng, d).flat
+        assert np.array_equal(op.matrix, reference)
+        assert np.max(np.abs(op.apply_flat(v) - reference @ v)) <= 1e-15
+
+    def test_dense_input_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            core.ElementOp("bad", core.UNITARY, "dense", 1, np.eye(3))
+
+    def test_matrix_view_is_read_only(self):
+        m = core.pockels_flip(2).matrix
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+
+
+class TestPermutationOp:
+    def test_non_bijective_site_map_rejected(self):
+        with pytest.raises(ValueError, match="not a bijection"):
+            core.permutation_op(2, lambda pol, ell, mode: (pol, ell * 0, mode), "collapse")
+
+    def test_site_map_leaving_the_basis_rejected(self):
+        with pytest.raises(ValueError, match="leaves the basis"):
+            core.permutation_op(2, lambda pol, ell, mode: (pol, ell + 1, mode), "overflow")

@@ -155,9 +155,7 @@ class TestRunScheme:
                 )
                 assert rec.p_abs_cycle == pytest.approx(expected, abs=1e-10)
 
-    def test_large_cycle_count_uses_stable_power_path(self):
-        # N far beyond the sequential limit must still give the exact
-        # closed-form survival.
+    def test_large_cycle_count_matches_closed_form(self):
         n = 2000
         cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), n)
         result = run_scheme(cfg)
@@ -286,3 +284,53 @@ class TestFinalStateIdeal:
         cfg = SchemeConfig("michelson-zeno", PixelPattern.from_bits("1"), 10)
         with pytest.raises(ValueError):
             final_state_ideal(cfg)
+
+
+def dense_run(config):
+    """Reference evolution: every element's dense matrix applied in turn."""
+    built = build_scheme(config)
+    cycle = [op.matrix for op in built.cycle_elements]
+    vec = core.make_initial_state(config.d, config.kind).flat
+    survival = []
+    for _ in range(built.n_cycles):
+        for matrix in cycle:
+            vec = matrix @ vec
+        survival.append(float(np.vdot(vec, vec).real))
+    for op in built.switch_out:
+        vec = op.matrix @ vec
+    return vec, survival
+
+
+class TestEngineAgainstDenseReference:
+    CASES = [
+        ("ev-single-pass", PixelPattern.from_bits("1")),
+        ("zeno-single-pixel", PixelPattern.from_bits("1")),
+        ("multipixel-single-pass", PixelPattern.from_bits("0110")),
+        ("multipixel-zeno", PixelPattern.from_bits("101")),
+        ("michelson-zeno", PixelPattern.from_bits("011")),
+        ("semitransparent-zeno", PixelPattern((0.3, 0.9, 1.0))),
+    ]
+
+    def test_composed_cycle_matches_dense_product(self):
+        for kind, pattern in self.CASES:
+            for form in ("gates", "oam-diagonal"):
+                built = build_scheme(SchemeConfig(kind, pattern, 5, encoder_form=form))
+                product = np.eye(core.space_dim(pattern.d), dtype=complex)
+                for op in built.cycle_elements:
+                    product = op.matrix @ product
+                cycle = core.compose(built.cycle_elements)
+                assert cycle.index.shape[0] <= 2, (kind, form)
+                assert np.max(np.abs(cycle.matrix - product)) <= 1e-13, (kind, form)
+
+    def test_run_matches_element_by_element_dense_application(self):
+        # Both sides of the former 256-cycle switch to matrix powers.
+        for n in (256, 257, 2048):
+            for kind, pattern in self.CASES:
+                if kind not in core.ZENO_KINDS:
+                    continue
+                config = SchemeConfig(kind, pattern, n)
+                result = run_scheme(config)
+                vec, survival = dense_run(config)
+                assert len(result.trace) == n
+                assert np.max(np.abs(result.state.flat - vec)) <= 1e-12, (kind, n)
+                assert np.max(np.abs(np.array(result.trace.survival) - survival)) <= 1e-12
