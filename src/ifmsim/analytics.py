@@ -11,7 +11,10 @@ For a semi-transparent pixel with transmission T the single-cycle block is
                    [sqrt(T) sin(theta), sqrt(T) cos(theta)]]
 
 acting on the (H, V) amplitude pair; N cycles are the N-th matrix power,
-computed by repeated squaring.
+computed by ``np.linalg.matrix_power`` (stacked over arrays of T).  At T = 0
+and T = 1 the trigonometric forms cos^2N(theta) and (cos^2(N theta),
+sin^2(N theta)) replace it, so the oracle shares no rounding with the
+simulator's gate products there.
 """
 
 from __future__ import annotations
@@ -47,20 +50,32 @@ class AnalyticReport:
                 raise ValueError(f"exact probabilities sum to {total!r}, not 1")
 
 
-def transmission_block(transmission: float, theta: float) -> np.ndarray:
-    """Single-cycle (H, V) block for one OAM value."""
-    if not (0.0 <= transmission <= 1.0):
+def transmission_block(transmission: float | np.ndarray, theta: float) -> np.ndarray:
+    """Single-cycle (H, V) block for one OAM value, stacked over an array of transmissions."""
+    t = np.asarray(transmission, dtype=np.float64)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError(f"transmission {transmission} outside [0, 1]")
     c, s = np.cos(theta), np.sin(theta)
-    r = np.sqrt(transmission)
-    return np.array([[c, -s], [r * s, r * c]], dtype=np.float64)
+    block = np.empty(t.shape + (2, 2))
+    block[..., 0, :] = c, -s
+    block[..., 1, :] = np.multiply.outer(np.sqrt(t), (s, c))
+    return block
 
 
-def block_probabilities(transmission: float, theta: float, n_cycles: int) -> tuple[float, float]:
-    """(p_h, p_v) for a unit-weight pixel after ``n_cycles`` cycles."""
-    m = np.linalg.matrix_power(transmission_block(transmission, theta), n_cycles)
-    amps = m @ np.array([1.0, 0.0])
-    return float(amps[0] ** 2), float(amps[1] ** 2)
+def block_probabilities(transmission: float | np.ndarray, theta: float, n_cycles: int) -> tuple:
+    """(p_h, p_v) for a unit-weight pixel after ``n_cycles`` cycles.
+
+    A float transmission gives two floats, an array two arrays of its shape.
+    """
+    t = np.asarray(transmission, dtype=np.float64)
+    amps = np.linalg.matrix_power(transmission_block(t, theta), n_cycles)[..., :, 0]
+    ph = np.where(t == 1.0, np.cos(n_cycles * theta) ** 2,
+                  np.where(t == 0.0, np.cos(theta) ** (2 * n_cycles), amps[..., 0] ** 2))
+    pv = np.where(t == 1.0, np.sin(n_cycles * theta) ** 2,
+                  np.where(t == 0.0, 0.0, amps[..., 1] ** 2))
+    if t.ndim == 0:
+        return float(ph), float(pv)
+    return ph, pv
 
 
 def ev_table(f: int) -> AnalyticReport:
@@ -85,21 +100,12 @@ def zeno_single_exact(n_cycles: int, f: int = 1) -> AnalyticReport:
     """Exact cycling-scheme probabilities for one pixel at theta = pi/2N."""
     if n_cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
-    dh, dv = SINGLE_PIXEL_DETECTORS
-    theta = np.pi / (2 * n_cycles)
-    if f == 0:
-        ph = float(np.cos(n_cycles * theta) ** 2)
-        exact = {dh: ph, dv: 1.0 - ph}
-        p_abs = 0.0
-        efficiency = None
-    elif f == 1:
-        ph = float(np.cos(theta) ** (2 * n_cycles))
-        exact = {dh: ph, dv: 0.0}
-        p_abs = 1.0 - ph
-        efficiency = ph
-    else:
+    if f not in (0, 1):
         raise ValueError(f"occupancy bit must be 0 or 1, got {f!r}")
-    return AnalyticReport(exact, None, p_abs, efficiency=efficiency)
+    dh, dv = SINGLE_PIXEL_DETECTORS
+    # An opaque pixel (f = 1) transmits nothing, an empty one everything.
+    ph, pv = block_probabilities(1.0 - f, np.pi / (2 * n_cycles), n_cycles)
+    return AnalyticReport({dh: ph, dv: pv}, None, 1.0 - ph - pv, efficiency=ph if f else None)
 
 
 def multipixel_single_pass_table(d: int, pattern: PixelPattern) -> AnalyticReport:
@@ -165,17 +171,39 @@ def semitransparent_exact(
     ts = tuple(float(t) for t in transmissions)
     if len(ts) != d:
         raise ValueError(f"expected {d} transmissions, got {len(ts)}")
+    ph, pv = block_probabilities(np.array(ts), theta, n_cycles)
     exact: dict[str, float] = {}
     total = 0.0
-    for ell, t in enumerate(ts):
-        ph, pv = block_probabilities(t, theta, n_cycles)
-        exact[core.pol_detector_label(ell, POL_H)] = ph / d
-        exact[core.pol_detector_label(ell, POL_V)] = pv / d
-        total += (ph + pv) / d
-    p_abs = 1.0 - total
+    for ell in range(d):
+        exact[core.pol_detector_label(ell, POL_H)] = float(ph[ell]) / d
+        exact[core.pol_detector_label(ell, POL_V)] = float(pv[ell]) / d
+        total += (ph[ell] + pv[ell]) / d
+    p_abs = 1.0 - float(total)
     binary = all(t in (0.0, 1.0) for t in ts)
     efficiency = float(np.cos(theta) ** (2 * n_cycles)) if binary else None
     return AnalyticReport(exact, None, p_abs, efficiency=efficiency)
+
+
+def _asymptotic_probabilities(
+    d: int, n_cycles: int, transmissions: tuple[float, ...]
+) -> dict[str, float]:
+    """Large-N (p_h, p_v) of each pixel at theta = pi/2N.
+
+    p_h = (1/d) (1 - (1+sqrt(T))/(1-sqrt(T)) pi^2/4N) and
+    p_v = (1/d) T/(1-sqrt(T))^2 pi^2/4N^2, with the exact limit (0, 1/d)
+    at the pole T = 1.
+    """
+    asym: dict[str, float] = {}
+    for ell, t in enumerate(transmissions):
+        if t == 1.0:
+            ph, pv = 0.0, 1.0 / d
+        else:
+            r = np.sqrt(t)
+            ph = float((1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n_cycles)) / d)
+            pv = float((t / (1.0 - r) ** 2) * np.pi**2 / (4 * n_cycles**2) / d)
+        asym[core.pol_detector_label(ell, POL_H)] = ph
+        asym[core.pol_detector_label(ell, POL_V)] = pv
+    return asym
 
 
 def semitransparent_asymptotic(
@@ -185,39 +213,20 @@ def semitransparent_asymptotic(
 ) -> AnalyticReport:
     """Large-N approximations at theta = pi/2N for transmissions in [0, 1).
 
-    p_h = (1/d) (1 - (1+sqrt(T))/(1-sqrt(T)) pi^2/4N) and
-    p_v = (1/d) T/(1-sqrt(T))^2 pi^2/4N^2 per pixel.  The formulas have a
-    pole at T = 1, so fully transparent pixels are rejected.
+    The expansion (see ``_asymptotic_probabilities``) has a pole at T = 1,
+    so fully transparent pixels are rejected.
     """
     ts = tuple(float(t) for t in transmissions)
     if len(ts) != d:
         raise ValueError(f"expected {d} transmissions, got {len(ts)}")
-    asym: dict[str, float] = {}
     for ell, t in enumerate(ts):
         if not (0.0 <= t < 1.0):
             raise ValueError(
                 f"transmission T_{ell}={t} not in [0, 1): the large-N expansion "
                 "has a pole at 1 - sqrt(T) = 0"
             )
-        r = np.sqrt(t)
-        ph = (1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n_cycles)) / d
-        pv = (t / (1.0 - r) ** 2) * np.pi**2 / (4 * n_cycles**2) / d
-        asym[core.pol_detector_label(ell, POL_H)] = float(ph)
-        asym[core.pol_detector_label(ell, POL_V)] = float(pv)
-    p_abs = 1.0 - sum(asym.values())
-    return AnalyticReport(None, asym, p_abs)
-
-
-def _swap_hv_labels(probs: dict[str, float]) -> dict[str, float]:
-    swapped = {}
-    for label, p in probs.items():
-        if label.endswith("_h"):
-            swapped[label[:-2] + "_v"] = p
-        elif label.endswith("_v"):
-            swapped[label[:-2] + "_h"] = p
-        else:
-            swapped[label] = p
-    return swapped
+    asym = _asymptotic_probabilities(d, n_cycles, ts)
+    return AnalyticReport(None, asym, 1.0 - sum(asym.values()))
 
 
 def exact_distribution(config: SchemeConfig) -> AnalyticReport:
@@ -248,7 +257,7 @@ def exact_distribution(config: SchemeConfig) -> AnalyticReport:
         if kind == "michelson-zeno":
             assert report.exact is not None
             report = AnalyticReport(
-                _swap_hv_labels(report.exact), None, report.p_abs, report.efficiency
+                core.swap_hv_labels(report.exact), None, report.p_abs, report.efficiency
             )
         return report
     raise ValueError(f"unknown scheme kind {kind!r}")
@@ -260,27 +269,12 @@ def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
     Fully transparent pixels take their exact limit values (p_v = 1/d)
     instead of the poled expansion.
     """
-    if config.kind not in ("multipixel-zeno", "semitransparent-zeno", "michelson-zeno",
-                           "zeno-single-pixel"):
+    if config.kind not in core.ZENO_KINDS or config.theta is not None:
         return None
-    if config.theta is not None:
-        return None
-    d = config.d
-    n = config.n_cycles
-    asym: dict[str, float] = {}
-    for ell, t in enumerate(config.pattern.transmissions):
-        if t == 1.0:
-            ph, pv = 0.0, 1.0 / d
-        else:
-            r = np.sqrt(t)
-            ph = float((1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n)) / d)
-            pv = float((t / (1.0 - r) ** 2) * np.pi**2 / (4 * n**2) / d)
-        asym[core.pol_detector_label(ell, POL_H)] = ph
-        asym[core.pol_detector_label(ell, POL_V)] = pv
+    asym = _asymptotic_probabilities(config.d, config.n_cycles, config.pattern.transmissions)
     if config.kind == "michelson-zeno":
-        asym = _swap_hv_labels(asym)
+        asym = core.swap_hv_labels(asym)
     if config.kind == "zeno-single-pixel":
         dh, dv = SINGLE_PIXEL_DETECTORS
         asym = {dh: asym["D0_h"], dv: asym["D0_v"]}
-    p_abs = 1.0 - sum(asym.values())
-    return AnalyticReport(None, asym, p_abs)
+    return AnalyticReport(None, asym, 1.0 - sum(asym.values()))

@@ -20,7 +20,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ifmsim import analytics, experiment, verify
 from ifmsim.core import SCHEME_KINDS, PixelPattern
@@ -39,6 +40,66 @@ class UsageError(Exception):
     """Invalid or inconsistent command-line configuration."""
 
 
+class Field(NamedTuple):
+    """One configuration field, read from a flag or a config-file key.
+
+    ``key`` is the config-file key and, after ``--``, the flag; ``attr`` is
+    the RunConfig attribute and the flag's dest.  Flag text converts to
+    ``item`` (a comma-separated list of it when ``many``); a config-file
+    value must already be of that type (a JSON list of it when ``many``).
+    Both sources are held to ``choices``.
+    """
+
+    key: str
+    attr: str
+    item: type = str
+    many: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+    def from_flag(self, value):
+        """Value of the flag; argparse has already converted scalars."""
+        if not self.many:
+            return value
+        try:
+            return tuple(self.item(x) for x in value.split(","))
+        except ValueError as exc:
+            noun = "integer" if self.item is int else "number"
+            raise UsageError(f"invalid {noun} list {value!r}") from exc
+
+    def from_json(self, value):
+        """Value of a config-file entry, held to the flag's type and choices."""
+        items = value if self.many else [value]
+        allowed = (int, float) if self.item is float else self.item
+        if not isinstance(items, list) or any(
+                isinstance(x, bool) or not isinstance(x, allowed) for x in items):
+            expected = f"list of {self.item.__name__}" if self.many else self.item.__name__
+            raise UsageError(f"config: {self.key}: expected {expected}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise UsageError(f"config: {self.key}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(repr, self.choices))})")
+        return tuple(self.item(x) for x in items) if self.many else value
+
+
+# Every field of RunConfig, in flag order.  The config-file aliases
+# ``sweep_N``/``sweep_T`` are the keys with ``-`` written as ``_``.
+FIELDS = (
+    Field("scheme", "scheme", choices=tuple(sorted(SCHEME_KINDS))),
+    Field("d", "d", int, help="pixel count"),
+    Field("N", "n_cycles", int, help="cycle count"),
+    Field("pattern", "pattern", help="occupancy bits, e.g. 1010 (1 = opaque)"),
+    Field("transmissions", "transmissions", float, many=True,
+          help="comma-separated per-pixel transmissions in [0, 1]"),
+    Field("shots", "shots", int),
+    Field("seed", "seed", int),
+    Field("sweep-N", "sweep_n", int, many=True, help="comma-separated cycle counts"),
+    Field("sweep-T", "sweep_t", float, many=True, help="comma-separated uniform transmissions"),
+    Field("format", "format", choices=("json", "csv")),
+    Field("out", "out", metavar="PATH"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed experiment configuration shared by all subcommands."""
@@ -53,48 +114,26 @@ class RunConfig:
     sweep_n: tuple[int, ...] | None = None
     sweep_t: tuple[float, ...] | None = None
     # None means "not set": run/sweep/shots default to json, verify to text.
-    fmt: str | None = None
+    format: str | None = None
     out: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "d": self.d,
-            "N": self.n_cycles,
-            "pattern": self.pattern,
-            "transmissions": list(self.transmissions) if self.transmissions is not None else None,
-            "shots": self.shots,
-            "seed": self.seed,
-            "sweep-N": list(self.sweep_n) if self.sweep_n is not None else None,
-            "sweep-T": list(self.sweep_t) if self.sweep_t is not None else None,
-            "format": self.fmt,
-            "out": self.out,
-        }
+        values = {f.key: getattr(self, f.attr) for f in FIELDS}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        def pick(*names, default=None):
-            for name in names:
-                if name in data and data[name] is not None:
-                    return data[name]
-            return default
-
-        transmissions = pick("transmissions")
-        sweep_n = pick("sweep-N", "sweep_N")
-        sweep_t = pick("sweep-T", "sweep_T")
-        return cls(
-            scheme=pick("scheme"),
-            d=pick("d"),
-            n_cycles=int(pick("N", default=1)),
-            pattern=pick("pattern"),
-            transmissions=tuple(float(t) for t in transmissions) if transmissions else None,
-            shots=int(pick("shots", default=DEFAULT_SHOTS)),
-            seed=int(pick("seed", default=DEFAULT_SEED)),
-            sweep_n=tuple(int(n) for n in sweep_n) if sweep_n else None,
-            sweep_t=tuple(float(t) for t in sweep_t) if sweep_t else None,
-            fmt=pick("format"),
-            out=pick("out"),
-        )
+        """Config from file keys; a null or missing key keeps the default."""
+        if not isinstance(data, dict):
+            raise UsageError("config: expected a JSON object")
+        values = {}
+        for field in FIELDS:
+            value = data.get(field.key)
+            if value is None:
+                value = data.get(field.key.replace("-", "_"))
+            if value is not None:
+                values[field.attr] = field.from_json(value)
+        return cls(**values)
 
     def pixel_pattern(self) -> PixelPattern:
         if self.pattern is not None and self.transmissions is not None:
@@ -120,9 +159,6 @@ class RunConfig:
                       pattern: PixelPattern | None = None) -> SchemeConfig:
         if self.scheme is None:
             raise UsageError("missing field: scheme")
-        if self.scheme not in SCHEME_KINDS:
-            raise UsageError(f"scheme: unknown kind {self.scheme!r} "
-                             f"(choose from {sorted(SCHEME_KINDS)})")
         if self.d is None:
             raise UsageError("missing field: d")
         try:
@@ -133,20 +169,6 @@ class RunConfig:
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"invalid number list {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"invalid integer list {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,21 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, metavar="FILE",
                        help="JSON file with the same keys as the flags")
-        p.add_argument("--scheme", type=str, default=None, choices=sorted(SCHEME_KINDS))
-        p.add_argument("--d", type=int, default=None, help="pixel count")
-        p.add_argument("--N", type=int, default=None, dest="n_cycles", help="cycle count")
-        p.add_argument("--pattern", type=str, default=None,
-                       help="occupancy bits, e.g. 1010 (1 = opaque)")
-        p.add_argument("--transmissions", type=str, default=None,
-                       help="comma-separated per-pixel transmissions in [0, 1]")
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--sweep-N", type=str, default=None, dest="sweep_n",
-                       help="comma-separated cycle counts")
-        p.add_argument("--sweep-T", type=str, default=None, dest="sweep_t",
-                       help="comma-separated uniform transmissions")
-        p.add_argument("--format", type=str, default=None, choices=("json", "csv"))
-        p.add_argument("--out", type=str, default=None, metavar="PATH")
+        for field in FIELDS:
+            p.add_argument(f"--{field.key}", type=str if field.many else field.item,
+                           default=None, dest=field.attr, choices=field.choices,
+                           help=field.help, metavar=field.metavar)
     return parser
 
 
@@ -189,29 +200,15 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as handle:
-                file_cfg = RunConfig.from_dict(json.load(handle))
+                data = json.load(handle)
         except OSError as exc:
             raise UsageError(f"config: cannot read {args.config!r}: {exc}") from exc
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"config: invalid JSON config: {exc}") from exc
-
-    merged = RunConfig(
-        scheme=args.scheme if args.scheme is not None else file_cfg.scheme,
-        d=args.d if args.d is not None else file_cfg.d,
-        n_cycles=args.n_cycles if args.n_cycles is not None else file_cfg.n_cycles,
-        pattern=args.pattern if args.pattern is not None else file_cfg.pattern,
-        transmissions=(_parse_float_list(args.transmissions)
-                       if args.transmissions is not None else file_cfg.transmissions),
-        shots=args.shots if args.shots is not None else file_cfg.shots,
-        seed=args.seed if args.seed is not None else file_cfg.seed,
-        sweep_n=(_parse_int_list(args.sweep_n)
-                 if args.sweep_n is not None else file_cfg.sweep_n),
-        sweep_t=(_parse_float_list(args.sweep_t)
-                 if args.sweep_t is not None else file_cfg.sweep_t),
-        fmt=args.format if args.format is not None else file_cfg.fmt,
-        out=args.out if args.out is not None else file_cfg.out,
-    )
-    return args.command, merged
+        file_cfg = RunConfig.from_dict(data)
+    flags = {f.attr: f.from_flag(getattr(args, f.attr))
+             for f in FIELDS if getattr(args, f.attr) is not None}
+    return args.command, replace(file_cfg, **flags)
 
 
 def _round15(obj):
@@ -286,7 +283,7 @@ def cmd_run(cfg: RunConfig) -> int:
             for rec in result.trace.records()
         ],
     }
-    if (cfg.fmt or "json") == "json":
+    if (cfg.format or "json") == "json":
         _emit(_json_report(report), cfg.out)
     else:
         buf = io.StringIO()
@@ -358,7 +355,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             row["gap_p_abs"] = abs(exact.p_abs - asym.p_abs)
         rows.append(row)
 
-    if (cfg.fmt or "json") == "json":
+    if (cfg.format or "json") == "json":
         _emit(_json_report({"config": cfg.to_dict(), "rows": rows}), cfg.out)
     else:
         columns: list[str] = []
@@ -418,7 +415,7 @@ def cmd_shots(cfg: RunConfig) -> int:
         "reconstruction": reconstruction,
         "pattern_match": pattern_match,
     }
-    if (cfg.fmt or "json") == "json":
+    if (cfg.format or "json") == "json":
         _emit(_json_report(report), cfg.out)
     else:
         _emit(records.to_csv(), cfg.out)
@@ -429,7 +426,7 @@ def cmd_shots(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     results = verify.run_all_checks()
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results

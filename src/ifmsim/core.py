@@ -54,6 +54,20 @@ def pol_detector_label(ell: int, pol: int) -> str:
     return f"D{ell}_{POL_NAMES[pol]}"
 
 
+def swap_hv_labels(probs: Mapping[str, float]) -> dict[str, float]:
+    """``probs`` with the h and v detector labels of every OAM value exchanged.
+
+    The folded scheme's switch-out flips the polarisation, so its D{ell}_h
+    reads what the cycling scheme's D{ell}_v reads.  Other labels pass
+    through unchanged.
+    """
+    swap = {"_h": "_v", "_v": "_h"}
+    return {
+        (label[:-2] + swap[label[-2:]] if label[-2:] in swap else label): p
+        for label, p in probs.items()
+    }
+
+
 def port_detector_label(port: str, ell: int) -> str:
     """Label of the OAM-resolved detector on output port ``'0'`` or ``'d'``."""
     return f"D{port}_{ell}"

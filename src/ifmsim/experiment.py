@@ -5,6 +5,9 @@ random stream is counter based (Philox keyed by the seed), so the outcome
 of shot k is a pure function of (seed, k): batches drawn in parallel from
 disjoint counter ranges merge into the same record stream, and reruns with
 the same seed are bit-identical.
+
+Transmission estimates are per-pixel least-squares fits of the closed-form
+block model, by a numpy grid scan that zooms in on the best point.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ifmsim import analytics, core, schemes
 from ifmsim.core import DetectionDistribution
@@ -203,14 +205,13 @@ def reconstruct_pattern(counts: ClickCounts, config: SchemeConfig) -> Reconstruc
                 verdicts.append(UNKNOWN)
         return ReconstructedImage(tuple(verdicts))
 
-    reversed_labels = kind == "michelson-zeno"
+    clicks = core.swap_hv_labels(counts.counts) if kind == "michelson-zeno" else counts.counts
     for ell in range(d):
-        nh = counts.counts.get(core.pol_detector_label(ell, core.POL_H), 0)
-        nv = counts.counts.get(core.pol_detector_label(ell, core.POL_V), 0)
-        opaque_clicks, transparent_clicks = (nv, nh) if reversed_labels else (nh, nv)
-        if opaque_clicks > transparent_clicks:
+        nh = clicks.get(core.pol_detector_label(ell, core.POL_H), 0)
+        nv = clicks.get(core.pol_detector_label(ell, core.POL_V), 0)
+        if nh > nv:
             verdicts.append(OPAQUE)
-        elif transparent_clicks > opaque_clicks:
+        elif nv > nh:
             verdicts.append(TRANSPARENT)
         else:
             verdicts.append(UNKNOWN)
@@ -223,26 +224,28 @@ def _fit_single_transmission(
     """Least-squares fit of one pixel's transmission to observed fractions.
 
     ``fh``/``fv`` are the pixel's click fractions rescaled to unit pixel
-    weight; the implied absorbed fraction completes the triple.  Returns
-    the estimate and the model sensitivity d(model)/dT at the estimate.
+    weight; the implied absorbed fraction completes the triple.  A 101-point
+    scan over [0, 1] brackets the global minimum; each zoom rescans the
+    bracket between the best point's neighbours on a grid centred exactly
+    on that point (so the loss never rises) until the bracket is narrower
+    than 1e-10.  Returns the estimate and the model sensitivity d(model)/dT
+    at the estimate.
     """
     observed = np.array([fh, fv, 1.0 - fh - fv])
 
-    def model(t: float) -> np.ndarray:
+    def model(t: float | np.ndarray) -> np.ndarray:
         ph, pv = analytics.block_probabilities(t, theta, n_cycles)
-        return np.array([ph, pv, 1.0 - ph - pv])
+        return np.stack([ph, pv, 1.0 - ph - pv], axis=-1)
 
-    def loss(t: float) -> float:
-        return float(np.sum((observed - model(t)) ** 2))
-
-    # Coarse scan to bracket the global minimum, then a bounded refine.
     grid = np.linspace(0.0, 1.0, 101)
-    best = float(min(grid, key=loss))
-    lo, hi = max(0.0, best - 0.02), min(1.0, best + 0.02)
-    res = minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    t_hat = float(np.clip(res.x, 0.0, 1.0))
-    if loss(best) < loss(t_hat):
-        t_hat = best
+    step = grid[1]
+    offsets = np.arange(-10, 11)
+    while True:
+        t_hat = float(grid[np.argmin(np.sum((observed - model(grid)) ** 2, axis=-1))])
+        if 2 * step < 1e-10:
+            break
+        step /= 10
+        grid = np.clip(t_hat + step * offsets, 0.0, 1.0)
 
     eps = 1e-5
     hi_t, lo_t = min(t_hat + eps, 1.0), max(t_hat - eps, 0.0)

@@ -145,29 +145,19 @@ class SchemeResult(NamedTuple):
 
 
 def _encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
-    """Path-to-OAM encoder around the object, on arm 0."""
+    """Path-to-OAM encoder around the object, on arm 0.
+
+    The folded scheme adds its arm mirror stage behind the object.
+    """
     d = config.d
     if config.encoder_form == "oam-diagonal":
         return (core.object_attenuator(config.pattern, "oam-diagonal"),)
+    mirrors = (core.arm_mirrors(d),) if config.kind == "michelson-zeno" else ()
     return (
         core.oam_sorter(d),
         core.oam_converter(d),
         core.object_attenuator(config.pattern, "pixel-paths"),
-        core.oam_converter(d, inverse=True),
-        core.oam_sorter(d, inverse=True),
-    )
-
-
-def _folded_encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
-    """Encoder of the folded scheme, including the arm mirror stage."""
-    d = config.d
-    if config.encoder_form == "oam-diagonal":
-        return (core.object_attenuator(config.pattern, "oam-diagonal"),)
-    return (
-        core.oam_sorter(d),
-        core.oam_converter(d),
-        core.object_attenuator(config.pattern, "pixel-paths"),
-        core.arm_mirrors(d),
+        *mirrors,
         core.oam_converter(d, inverse=True),
         core.oam_sorter(d, inverse=True),
     )
@@ -262,7 +252,7 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
             core.mirror_reflect("retro", d),
             core.polarisation_rotator(theta, d),
             core.polarising_beam_splitter(d),
-            *_folded_encoder_elements(config),
+            *_encoder_elements(config),
             core.polarising_beam_splitter(d),
         )
         return BuiltScheme(cycle, (core.pockels_flip(d),), config.n_cycles, _pol_detector_map(d))

@@ -222,15 +222,8 @@ def check_michelson_equivalence(seed: int = 37) -> CheckResult:
             pattern = _random_pattern(rng, d, binary=True)
             mz = schemes.run_scheme(SchemeConfig("multipixel-zeno", pattern, n)).distribution
             mich = schemes.run_scheme(SchemeConfig("michelson-zeno", pattern, n)).distribution
-            swap = {}
-            for ell in range(d):
-                swap[core.pol_detector_label(ell, POL_H)] = core.pol_detector_label(ell, POL_V)
-                swap[core.pol_detector_label(ell, POL_V)] = core.pol_detector_label(ell, POL_H)
-            mz_swapped = mz.relabel(swap)
-            gap = max(
-                abs(mich.probabilities[k] - mz_swapped.probabilities[k])
-                for k in mich.probabilities
-            )
+            mz_swapped = core.swap_hv_labels(mz.probabilities)
+            gap = max(abs(mich.probabilities[k] - mz_swapped[k]) for k in mich.probabilities)
             worst = max(worst, gap, abs(mich.p_abs - mz.p_abs))
     return CheckResult("michelson-equivalence", worst <= 1e-10, f"max probability gap {worst:.3e}")
 

@@ -183,6 +183,33 @@ class TestSemitransparentExact:
         with pytest.raises(ValueError):
             semitransparent_exact(1, 5, 0.1, (1.2,))
 
+    def test_transparent_limit_uses_exact_rotation(self):
+        # At T = 1 the oracle uses sin^2(N theta), not the 2x2 power, so it
+        # does not inherit the 9.8e-13 norm drift of 10^5 rotation products.
+        n = 10**5
+        report = semitransparent_exact(1, n, np.pi / (2 * n), (1.0,))
+        assert abs(report.p_abs) <= 2 * np.finfo(float).eps
+
+    def test_binary_limits_are_trigonometric_and_close_to_block_power(self):
+        # The block power drifts from the exact forms by rounding (1.3e-12
+        # at N = 10^4), well inside the 1e-10 oracle tolerance of verify.
+        for n in (1, 7, 100, 10**4, 10**5):
+            theta = np.pi / (2 * n)
+            assert analytics.block_probabilities(1.0, theta, n) == (
+                np.cos(n * theta) ** 2, np.sin(n * theta) ** 2)
+            assert analytics.block_probabilities(0.0, theta, n) == (
+                np.cos(theta) ** (2 * n), 0.0)
+            for t in (0.0, 1.0):
+                amps = np.linalg.matrix_power(analytics.transmission_block(t, theta), n)[:, 0]
+                exact = analytics.block_probabilities(t, theta, n)
+                assert np.allclose(exact, amps**2, rtol=0, atol=1e-10)
+
+    def test_array_input_matches_scalar_calls(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        ph, pv = analytics.block_probabilities(ts, 0.05, 30)
+        for k, t in enumerate(ts):
+            assert (ph[k], pv[k]) == analytics.block_probabilities(float(t), 0.05, 30)
+
 
 class TestSemitransparentAsymptotic:
     def test_opaque_pixels_reproduce_zeno_row(self):
@@ -209,6 +236,48 @@ class TestSemitransparentAsymptotic:
     def test_rejects_transparent_pole(self):
         with pytest.raises(ValueError, match="pole"):
             semitransparent_asymptotic(2, 100, (0.5, 1.0))
+
+
+class TestAsymptoticDistribution:
+    def test_equals_semitransparent_asymptotic_below_full_transmission(self):
+        ts = (0.0, 0.3, 0.8)
+        cfg = SchemeConfig("semitransparent-zeno", PixelPattern(ts), 500)
+        report = analytics.asymptotic_distribution(cfg)
+        expected = semitransparent_asymptotic(3, 500, ts)
+        assert report.asymptotic == expected.asymptotic
+        assert report.p_abs == expected.p_abs
+        assert report.exact is None
+
+    def test_transparent_pixel_takes_exact_limit(self):
+        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("100"), 200)
+        report = analytics.asymptotic_distribution(cfg)
+        assert report.asymptotic["D1_h"] == 0.0
+        assert report.asymptotic["D1_v"] == 1.0 / 3
+        assert report.asymptotic["D2_v"] == 1.0 / 3
+
+    def test_folded_scheme_swaps_labels(self):
+        pattern = PixelPattern((0.2, 1.0))
+        mz = analytics.asymptotic_distribution(SchemeConfig("multipixel-zeno", pattern, 100))
+        mich = analytics.asymptotic_distribution(SchemeConfig("michelson-zeno", pattern, 100))
+        for ell in range(2):
+            assert mich.asymptotic[f"D{ell}_h"] == mz.asymptotic[f"D{ell}_v"]
+            assert mich.asymptotic[f"D{ell}_v"] == mz.asymptotic[f"D{ell}_h"]
+        assert mich.p_abs == mz.p_abs
+
+    def test_single_pixel_scheme_uses_its_detector_labels(self):
+        cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), 100)
+        report = analytics.asymptotic_distribution(cfg)
+        expected = semitransparent_asymptotic(1, 100, (0.0,)).asymptotic
+        assert report.asymptotic == {"Dh": expected["D0_h"], "Dv": expected["D0_v"]}
+
+    def test_none_off_the_canonical_angle_or_for_single_pass(self):
+        pattern = PixelPattern.from_bits("10")
+        assert analytics.asymptotic_distribution(
+            SchemeConfig("multipixel-zeno", pattern, 100, theta=0.01)) is None
+        assert analytics.asymptotic_distribution(
+            SchemeConfig("multipixel-single-pass", pattern)) is None
+        assert analytics.asymptotic_distribution(
+            SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))) is None
 
 
 class TestReportInvariants:

@@ -71,6 +71,23 @@ class TestParsing:
         assert cfg.n_cycles == 8
         assert cfg.seed == 5
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"pattern": 1010}, "pattern"),
+        ({"format": "xml"}, "format"),
+        ({"d": "4"}, "d"),
+        ({"N": 2.7}, "N"),
+    ])
+    def test_config_file_values_checked_like_flags(self, tmp_path, capsys, entry, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"scheme": "multipixel-zeno", "d": 4, "N": 10, "pattern": "1010", **entry}))
+        code = main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: config: {field}: ")
+        assert "Traceback" not in captured.err
+
     def test_run_rejects_sweep_axes(self, capsys):
         code = main(["run", "--scheme", "multipixel-zeno", "--d", "2",
                      "--pattern", "10", "--sweep-N", "10,20"])

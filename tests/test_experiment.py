@@ -1,11 +1,15 @@
 """Shot sampling, reconstruction and estimation tests."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifmsim import experiment
+from ifmsim import analytics, experiment
 from ifmsim.core import DetectionDistribution, PixelPattern
 from ifmsim.experiment import (
     ClickCounts,
@@ -230,6 +234,31 @@ class TestTransmissionEstimation:
         counts = counts_from(cfg, {"D0_h": 1}, total=1)
         with pytest.raises(ValueError):
             estimate_transmissions(counts, cfg)
+
+    @pytest.mark.parametrize("n_cycles", [2, 16, 128])
+    def test_noiseless_fractions_invert_exactly(self, n_cycles):
+        theta = np.pi / (2 * n_cycles)
+        for t in np.linspace(0.0, 1.0, 41):
+            ph, pv = analytics.block_probabilities(float(t), theta, n_cycles)
+            t_hat, _ = experiment._fit_single_transmission(ph, pv, theta, n_cycles)
+            assert abs(t_hat - t) <= 1e-9, (n_cycles, t, t_hat)
+
+    def test_package_imports_and_fits_without_scipy(self):
+        # Blocking scipy makes any import of it fail, so this proves the
+        # command line and the fit need only numpy.
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import ifmsim.cli\n"
+            "from ifmsim import PixelPattern, SchemeConfig, estimate_transmissions, sample_shots\n"
+            "cfg = SchemeConfig('semitransparent-zeno', PixelPattern((0.0,)), 100)\n"
+            "counts, _ = sample_shots(cfg, 100_000, seed=42)\n"
+            "assert 0.0 <= estimate_transmissions(counts, cfg).transmission[0] <= 0.05\n"
+        )
+        src = Path(experiment.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStatisticalCheck:
