@@ -26,9 +26,10 @@ for ell, f in enumerate(int(b) for b in bits):
 print(f"  absorbed: {result.distribution.p_abs:.5f}")
 
 print("\nSurvival during the first cycles (non-increasing):")
-for rec in list(result.trace.records())[:6]:
-    print(f"  after cycle {rec.cycle:>3}: survival {rec.survival:.8f}, "
-          f"conditional loss {rec.p_abs_cycle:.2e}")
+trace = result.trace
+for cycle, (survival, loss) in enumerate(zip(trace.survival[:6], trace.p_abs_cycle), 1):
+    print(f"  after cycle {cycle:>3}: survival {survival:.8f}, "
+          f"conditional loss {loss:.2e}")
 
 ideal = final_state_ideal(cfg)
 fidelity = abs(ideal.overlap(result.state)) ** 2

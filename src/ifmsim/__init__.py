@@ -7,11 +7,9 @@ through many weak cycles, and read out from which detector clicks.
 """
 
 from ifmsim.core import (
-    ATTENUATOR,
     POL_H,
     POL_V,
     SCHEME_KINDS,
-    UNITARY,
     DetectionDistribution,
     DetectorMap,
     ElementOp,
@@ -31,7 +29,6 @@ from ifmsim.core import (
     polarisation_rotator,
     polarising_beam_splitter,
     space_dim,
-    survival_probability,
 )
 from ifmsim.schemes import (
     BuiltScheme,

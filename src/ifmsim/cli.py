@@ -279,8 +279,8 @@ def cmd_run(cfg: RunConfig) -> int:
         "survival": 1.0 - dist.p_abs,
         "analytic": _analytic_block(scheme_config),
         "trace": [
-            {"cycle": rec.cycle, "survival": rec.survival, "p_abs_cycle": rec.p_abs_cycle}
-            for rec in result.trace.records()
+            {"cycle": k, "survival": s, "p_abs_cycle": p}
+            for k, (s, p) in enumerate(zip(result.trace.survival, result.trace.p_abs_cycle), 1)
         ],
     }
     if (cfg.format or "json") == "json":

@@ -12,12 +12,12 @@ probability and the deficit from one is the accumulated absorption
 probability.
 
 Every optical element is a linear map on the flattened amplitude vector,
-wrapped in an :class:`ElementOp` that records whether the map is unitary or
-attenuating.  Each element acts on one axis of the (2, d, d+1) state: an
-index map, a diagonal, or a 2x2 block.  It is stored as that action in
-gather form, where every output amplitude is a sum of K input amplitudes
-times coefficients, so applying it costs O(K D) rather than the O(D^2) of a
-dense matrix; :func:`compose` multiplies gather forms and keeps K small.
+held in an :class:`ElementOp`.  Each element acts on one axis of the
+(2, d, d+1) state: an index map, a diagonal, or a 2x2 block.  It is stored
+as that action in gather form, where every output amplitude is a sum of K
+input amplitudes times coefficients, so applying it costs O(K D) rather
+than the O(D^2) of a dense matrix; :func:`compose` multiplies gather forms
+and keeps K small.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ import numpy as np
 POL_H = 0
 POL_V = 1
 POL_NAMES = ("h", "v")
-
-UNITARY = "unitary"
-ATTENUATOR = "attenuator"
 
 ZENO_KINDS = frozenset({
     "zeno-single-pixel",
@@ -157,82 +154,40 @@ def make_initial_state(d: int, scheme_kind: str) -> PhotonState:
     return PhotonState(d, amps)
 
 
-def survival_probability(state: PhotonState) -> float:
-    """Total non-absorption probability, sum of |amplitude|^2."""
-    return state.survival
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ElementOp:
     """A linear optical element acting on the full simulation space.
 
     The element is stored as its action in gather form: amplitude ``i`` of
     the output is ``sum_k coeff[k, i] * input[index[k, i]]`` over the flat
-    basis.  Index maps and diagonals need one term per amplitude (``K = 1``),
-    the 2x2 blocks two, so applying an element costs O(K D) for a space of
-    dimension D.
-
-    ``kind`` is ``"unitary"`` (norm preserving) or ``"attenuator"`` (a
-    contraction).  ``structure`` is a purely descriptive tag used by tests
-    and traces: ``"permutation"``, ``"diagonal"``, ``"block"``,
-    ``"composite"`` or ``"dense"``.
-
-    ``ElementOp(label, kind, structure, d, matrix)`` converts a dense
-    ``D x D`` matrix to gather form; the constructors in this module build
-    the gather form directly through :meth:`gather`.  ``matrix`` is a
-    read-only dense view, built on each access, for checks at small d.
+    basis, with ``index`` and ``coeff`` of shape (K, D).  Index maps and
+    diagonals need one term per amplitude (``K = 1``), the 2x2 blocks two,
+    so applying an element costs O(K D) for a space of dimension D.
+    ``matrix`` is a read-only dense view, built on each access, for checks
+    at small d.
     """
 
     label: str
-    kind: str
-    structure: str
     d: int
     index: np.ndarray
     coeff: np.ndarray
 
-    def __init__(self, label: str, kind: str, structure: str, d: int, matrix: np.ndarray) -> None:
-        m = np.asarray(matrix, dtype=np.complex128)
-        n = space_dim(d)
-        if m.shape != (n, n):
-            raise ValueError(f"element matrix must be {n}x{n} for d={d}, got {m.shape}")
-        rows, cols = np.nonzero(m)
-        counts = np.bincount(rows, minlength=n)
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        width = max(int(counts.max()), 1)
-        index = np.zeros((width, n), dtype=np.intp)
-        coeff = np.zeros((width, n), dtype=np.complex128)
-        index[slot, rows] = cols
-        coeff[slot, rows] = m[rows, cols]
-        self._set(label, kind, structure, d, index, coeff)
-
-    @classmethod
-    def gather(cls, label: str, kind: str, structure: str, d: int,
-               index: np.ndarray, coeff: np.ndarray) -> "ElementOp":
-        """Element from its gather form, ``index`` and ``coeff`` of shape (K, D)."""
-        op = cls.__new__(cls)
-        op._set(label, kind, structure, d, index, coeff)
-        return op
-
-    def _set(self, label: str, kind: str, structure: str, d: int,
-             index: np.ndarray, coeff: np.ndarray) -> None:
-        if kind not in (UNITARY, ATTENUATOR):
-            raise ValueError(f"unknown element kind {kind!r}")
-        n = space_dim(d)
-        index = np.array(index, dtype=np.intp)
-        coeff = np.array(coeff, dtype=np.complex128)
+    def __post_init__(self) -> None:
+        n = space_dim(self.d)
+        index = np.array(self.index, dtype=np.intp)
+        coeff = np.array(self.coeff, dtype=np.complex128)
         if index.ndim != 2 or index.shape[0] < 1 or index.shape[1] != n \
                 or coeff.shape != index.shape:
-            raise ValueError(f"gather form must be two (K, {n}) arrays for d={d}, "
+            raise ValueError(f"gather form must be two (K, {n}) arrays for d={self.d}, "
                              f"got {index.shape} and {coeff.shape}")
         if index.min() < 0 or index.max() >= n:
             raise ValueError(f"gather index outside the {n} basis states")
         index.setflags(write=False)
         coeff.setflags(write=False)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "coeff", coeff)
         # ``_terms`` holds the (index, coeff) rows, unpacked once for apply_flat.
-        for name, value in (("label", label), ("kind", kind), ("structure", structure),
-                            ("d", d), ("index", index), ("coeff", coeff),
-                            ("_terms", tuple(zip(index, coeff)))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_terms", tuple(zip(index, coeff)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -257,7 +212,7 @@ class ElementOp:
         return PhotonState.from_flat(state.d, self.apply_flat(state.flat))
 
     def __repr__(self) -> str:  # noqa: D105
-        return f"ElementOp({self.label!r}, kind={self.kind}, structure={self.structure}, d={self.d})"
+        return f"ElementOp({self.label!r}, d={self.d})"
 
 
 def _merge_terms(index: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,12 +255,9 @@ def compose(ops: Sequence[ElementOp], label: str | None = None) -> ElementOp:
         coeff = (coeff[:, op.index] * op.coeff).reshape(-1, n)
         if grows:
             index, coeff = _merge_terms(index, coeff)
-    kind = ATTENUATOR if any(op.kind == ATTENUATOR for op in ops) else UNITARY
-    structures = {op.structure for op in ops}
-    structure = structures.pop() if structures in ({"permutation"}, {"diagonal"}) else "composite"
     if label is None:
         label = " > ".join(op.label for op in ops)
-    return ElementOp.gather(label, kind, structure, d, index, coeff)
+    return ElementOp(label, d, index, coeff)
 
 
 def permutation_op(
@@ -332,14 +284,14 @@ def permutation_op(
                          f"(target {int(hits.argmax())} hit twice)")
     index = np.empty(n, dtype=np.intp)
     index[dst] = np.arange(n)
-    return ElementOp.gather(label, UNITARY, "permutation", d, index[None], np.ones((1, n)))
+    return ElementOp(label, d, index[None], np.ones((1, n)))
 
 
-def diagonal_op(d: int, factors: np.ndarray, label: str, kind: str) -> ElementOp:
+def diagonal_op(d: int, factors: np.ndarray, label: str) -> ElementOp:
     """Element that multiplies each basis amplitude by a fixed factor."""
     n = space_dim(d)
     factors = np.asarray(factors, dtype=np.complex128).reshape(1, -1)
-    return ElementOp.gather(label, kind, "diagonal", d, np.arange(n)[None], factors)
+    return ElementOp(label, d, np.arange(n)[None], factors)
 
 
 def block_op(d: int, block: np.ndarray, first: np.ndarray, second: np.ndarray,
@@ -357,7 +309,7 @@ def block_op(d: int, block: np.ndarray, first: np.ndarray, second: np.ndarray,
     for sites, row in ((first, block[0]), (second, block[1])):
         index[:, sites] = first, second
         coeff[:, sites] = row[:, None]
-    return ElementOp.gather(label, UNITARY, "block", d, index, coeff)
+    return ElementOp(label, d, index, coeff)
 
 
 def _sites(d: int) -> np.ndarray:
@@ -468,7 +420,7 @@ def object_attenuator(pattern: "PixelPattern", placement: str) -> ElementOp:
         factors[:, :, 0] = roots
     else:
         raise ValueError(f"unknown object placement {placement!r}")
-    return diagonal_op(d, factors, f"object({placement})", ATTENUATOR)
+    return diagonal_op(d, factors, f"object({placement})")
 
 
 def pockels_flip(d: int) -> ElementOp:
@@ -645,12 +597,6 @@ class DetectionDistribution:
 
     def get(self, label: str) -> float:
         return self.probabilities[label]
-
-    def relabel(self, mapping: Mapping[str, str]) -> "DetectionDistribution":
-        """New distribution with detector labels renamed via ``mapping``."""
-        return DetectionDistribution(
-            {mapping.get(k, k): v for k, v in self.probabilities.items()}, self.p_abs
-        )
 
 
 def detection_distribution(

@@ -20,7 +20,7 @@ runs through this one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +102,6 @@ class SchemeConfig:
         return passes * self.effective_theta
 
 
-class TraceRecord(NamedTuple):
-    cycle: int
-    survival: float
-    p_abs_cycle: float
-
-
 @dataclass(frozen=True)
 class SchemeTrace:
     """Per-cycle survival record of a run.
@@ -122,10 +116,6 @@ class SchemeTrace:
 
     def __len__(self) -> int:
         return len(self.survival)
-
-    def records(self) -> Iterator[TraceRecord]:
-        for k, (s, p) in enumerate(zip(self.survival, self.p_abs_cycle)):
-            yield TraceRecord(k + 1, s, p)
 
 
 @dataclass(frozen=True)
@@ -192,26 +182,13 @@ def _pol_detector_map(d: int) -> DetectorMap:
     return DetectorMap.from_groups(d, groups)
 
 
-def _single_pixel_detector_map() -> DetectorMap:
-    dh, dv = SINGLE_PIXEL_DETECTORS
-    return DetectorMap.from_groups(1, {dh: [(POL_H, 0, 1)], dv: [(POL_V, 0, 1)]})
-
-
-def _ev_detector_map(bright_mode: int) -> DetectorMap:
-    d0, d1 = EV_DETECTORS
-    dark_mode = 1 - bright_mode
-    return DetectorMap.from_groups(1, {
-        d0: [(POL_H, 0, bright_mode), (POL_V, 0, bright_mode)],
-        d1: [(POL_H, 0, dark_mode), (POL_V, 0, dark_mode)],
-    })
-
-
 def build_scheme(config: SchemeConfig) -> BuiltScheme:
     """Ordered element list and detector map for ``config``.
 
     The final OAM sorters fanning the output ports onto individual
     detectors are folded into the detector map, which resolves (pol, OAM,
-    port) directly.
+    port) directly.  The single-pixel kinds read the d = 1 port or
+    polarisation map under their own labels.
     """
     d = config.d
     theta = config.effective_theta
@@ -226,7 +203,8 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
             core.object_attenuator(config.pattern, "pixel-paths"),
             core.beam_splitter(d, config.bs_convention),
         )
-        return BuiltScheme(elements, (), 1, _ev_detector_map(bright_mode))
+        dmap = _port_detector_map(d, bright_mode)
+        return BuiltScheme(elements, (), 1, DetectorMap(d, EV_DETECTORS, dmap.assignment))
 
     if kind == "multipixel-single-pass":
         elements = (
@@ -243,7 +221,9 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
             *_encoder_elements(config),
             core.polarising_beam_splitter(d),
         )
-        dmap = _single_pixel_detector_map() if kind == "zeno-single-pixel" else _pol_detector_map(d)
+        dmap = _pol_detector_map(d)
+        if kind == "zeno-single-pixel":
+            dmap = DetectorMap(d, SINGLE_PIXEL_DETECTORS, dmap.assignment)
         return BuiltScheme(cycle, (), config.n_cycles, dmap)
 
     if kind == "michelson-zeno":

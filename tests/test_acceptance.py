@@ -95,12 +95,12 @@ def test_c04_cycling_survival_and_trace_against_closed_form():
                     assert abs(survival - expected) <= 1e-10, (d, n_abs, n)
                     c2 = math.cos(theta) ** 2
                     c2n = 1.0
-                    for rec in result.trace.records():
+                    for k, p_abs_cycle in enumerate(result.trace.p_abs_cycle):
                         per_cycle = (
                             n_abs * c2n * math.sin(theta) ** 2
                             / (d - n_abs + n_abs * c2n)
                         )
-                        assert abs(rec.p_abs_cycle - per_cycle) <= 1e-10, (d, n_abs, n, rec)
+                        assert abs(p_abs_cycle - per_cycle) <= 1e-10, (d, n_abs, n, k + 1)
                         c2n *= c2
 
     _report(4, "cycling survival and per-cycle trace", body)

@@ -7,7 +7,7 @@ import pytest
 
 from ifmsim import cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
-from ifmsim.core import ElementOp, space_dim
+from ifmsim.core import space_dim
 
 
 def reject_constant(name):
@@ -284,9 +284,8 @@ class TestCmdVerify:
     def test_injected_rotator_sign_error_fails_unitarity(self, monkeypatch):
         def broken_rotator(theta, d):
             c, s = np.cos(theta), np.sin(theta)
-            block = np.array([[c, s], [s, c]], dtype=complex)
-            matrix = np.kron(block, np.eye(d * (d + 1), dtype=complex))
-            return ElementOp("R(broken)", "unitary", "block", d, matrix)
+            sites = np.arange(space_dim(d)).reshape(2, -1)
+            return core.block_op(d, np.array([[c, s], [s, c]]), sites[0], sites[1], "R(broken)")
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         result = verify.check_unitarity()
@@ -295,9 +294,8 @@ class TestCmdVerify:
     def test_failing_check_gives_numeric_exit_code(self, monkeypatch, capsys):
         def broken_rotator(theta, d):
             c, s = np.cos(theta), np.sin(theta)
-            block = np.array([[c, s], [s, c]], dtype=complex)
-            matrix = np.kron(block, np.eye(d * (d + 1), dtype=complex))
-            return ElementOp("R(broken)", "unitary", "block", d, matrix)
+            sites = np.arange(space_dim(d)).reshape(2, -1)
+            return core.block_op(d, np.array([[c, s], [s, c]]), sites[0], sites[1], "R(broken)")
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         code = main(["verify"])

@@ -297,9 +297,9 @@ class TestNormProperties:
         with pytest.raises(ValueError):
             PhotonState(1, amps)
 
-    def test_survival_probability_of_fresh_state(self):
+    def test_survival_of_fresh_state(self):
         state = make_initial_state(3, "multipixel-zeno")
-        assert core.survival_probability(state) == pytest.approx(1.0, abs=1e-15)
+        assert state.survival == pytest.approx(1.0, abs=1e-15)
 
     def test_survival_after_object_contact(self):
         # Balanced two-arm split, then a fully opaque single pixel: half of
@@ -307,7 +307,7 @@ class TestNormProperties:
         d = 1
         state = core.beam_splitter(d).apply(make_initial_state(d, "ev-single-pass"))
         out = core.object_attenuator(PixelPattern.opaque(1), "pixel-paths").apply(state)
-        assert core.survival_probability(out) == pytest.approx(0.5, abs=1e-12)
+        assert out.survival == pytest.approx(0.5, abs=1e-12)
 
     def test_survival_after_repeated_interrogation(self):
         # Manual cycling with core elements only: rotate, sort polarisations,
@@ -491,19 +491,11 @@ class TestGatherFormAgainstDenseReference:
                 assert np.array_equal(op.matrix, reference)
                 assert np.max(np.abs(op.apply_flat(v) - reference @ v)) <= 1e-15
 
-    def test_dense_input_converts_to_the_same_action(self):
-        rng = np.random.default_rng(23)
-        d = 3
-        pattern = PixelPattern.from_bits("101")
-        reference = dense_rotator(0.4, d) @ dense_object(pattern, "pixel-paths")
-        op = core.ElementOp("dense", core.ATTENUATOR, "dense", d, reference)
-        v = random_state(rng, d).flat
-        assert np.array_equal(op.matrix, reference)
-        assert np.max(np.abs(op.apply_flat(v) - reference @ v)) <= 1e-15
-
-    def test_dense_input_of_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="must be 4x4"):
-            core.ElementOp("bad", core.UNITARY, "dense", 1, np.eye(3))
+    def test_gather_form_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="must be two"):
+            core.ElementOp("bad", 1, np.zeros((1, 3), dtype=int), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="outside the 4 basis states"):
+            core.ElementOp("bad", 1, np.full((1, 4), 4), np.ones((1, 4)))
 
     def test_matrix_view_is_read_only(self):
         m = core.pockels_flip(2).matrix

@@ -10,16 +10,6 @@ from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import SchemeConfig, build_scheme, final_state_ideal, run_scheme
 
 
-def hv_swapped(dist):
-    mapping = {}
-    for label in dist.probabilities:
-        if label.endswith("_h"):
-            mapping[label] = label[:-2] + "_v"
-        elif label.endswith("_v"):
-            mapping[label] = label[:-2] + "_h"
-    return dist.relabel(mapping)
-
-
 class TestSchemeConfig:
     def test_canonical_angles(self):
         mz = SchemeConfig("multipixel-zeno", PixelPattern.opaque(2), 10)
@@ -118,9 +108,8 @@ class TestRunScheme:
     def test_trace_is_recorded_every_cycle(self):
         result = run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 33))
         assert len(result.trace) == 33
-        records = list(result.trace.records())
-        assert records[0].cycle == 1
-        assert records[-1].cycle == 33
+        assert len(result.trace.survival) == 33
+        assert len(result.trace.p_abs_cycle) == 33
 
     def test_monotone_survival(self):
         rng = np.random.default_rng(4)
@@ -147,13 +136,12 @@ class TestRunScheme:
             bits = [1] * n_abs + [0] * (d - n_abs)
             cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits(bits), n)
             result = run_scheme(cfg)
-            for rec in result.trace.records():
-                k = rec.cycle - 1
+            for k, p_abs_cycle in enumerate(result.trace.p_abs_cycle):
                 c2n = math.cos(theta) ** (2 * k)
                 expected = (
                     n_abs * c2n * math.sin(theta) ** 2 / (d - n_abs + n_abs * c2n)
                 )
-                assert rec.p_abs_cycle == pytest.approx(expected, abs=1e-10)
+                assert p_abs_cycle == pytest.approx(expected, abs=1e-10)
 
     def test_large_cycle_count_matches_closed_form(self):
         n = 2000
@@ -186,9 +174,9 @@ class TestMichelsonEquivalence:
                 pattern = PixelPattern.from_bits(rng.integers(0, 2, size=d))
                 mz = run_scheme(SchemeConfig("multipixel-zeno", pattern, n)).distribution
                 mich = run_scheme(SchemeConfig("michelson-zeno", pattern, n)).distribution
-                swapped = hv_swapped(mz)
+                swapped = core.swap_hv_labels(mz.probabilities)
                 for label, p in mich.probabilities.items():
-                    assert p == pytest.approx(swapped.probabilities[label], abs=1e-10)
+                    assert p == pytest.approx(swapped[label], abs=1e-10)
                 assert mich.p_abs == pytest.approx(mz.p_abs, abs=1e-10)
 
     def test_opaque_pixel_reported_on_v_detector(self):
