@@ -166,19 +166,20 @@ def semitransparent_exact(
 
     Each OAM value evolves under its own 2x2 block raised to the N-th power
     applied to the (1/sqrt(d), 0) input; detector probabilities are the
-    squared output amplitudes.
+    squared output amplitudes.  Absorption is summed over the pixels with
+    T < 1, so a transparent pixel, whose cos^2 + sin^2 may round above 1,
+    adds none.
     """
     ts = tuple(float(t) for t in transmissions)
     if len(ts) != d:
         raise ValueError(f"expected {d} transmissions, got {len(ts)}")
     ph, pv = block_probabilities(np.array(ts), theta, n_cycles)
     exact: dict[str, float] = {}
-    total = 0.0
     for ell in range(d):
         exact[core.pol_detector_label(ell, POL_H)] = float(ph[ell]) / d
         exact[core.pol_detector_label(ell, POL_V)] = float(pv[ell]) / d
-        total += (ph[ell] + pv[ell]) / d
-    p_abs = 1.0 - float(total)
+    lossy = np.array(ts) < 1.0
+    p_abs = float(np.sum(1.0 - ph[lossy] - pv[lossy])) / d
     binary = all(t in (0.0, 1.0) for t in ts)
     efficiency = float(np.cos(theta) ** (2 * n_cycles)) if binary else None
     return AnalyticReport(exact, None, p_abs, efficiency=efficiency)

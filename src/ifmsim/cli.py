@@ -126,6 +126,10 @@ class RunConfig:
         """Config from file keys; a null or missing key keeps the default."""
         if not isinstance(data, dict):
             raise UsageError("config: expected a JSON object")
+        known = {k for f in FIELDS for k in (f.key, f.key.replace("-", "_"))}
+        for key in data:
+            if key not in known:
+                raise UsageError(f"config: {key}: unknown key")
         values = {}
         for field in FIELDS:
             value = data.get(field.key)

@@ -611,7 +611,9 @@ def detection_distribution(
     probability mass must be covered, so amplitude on undetected basis
     states is an error.  ``rounding_budget`` is the norm drift the evolution
     that produced ``state`` may have accumulated by rounding alone; a
-    deficit within it reads as zero absorption, one beyond it is kept.
+    deficit within it reads as zero absorption, and the detector sums are
+    then divided by the survival so that they add up to 1.  A deficit
+    beyond the budget is kept.
     """
     if state.d != detector_map.d:
         raise ValueError("state and detector map dimensions differ")
@@ -631,5 +633,6 @@ def detection_distribution(
     # application, which must not masquerade as absorption (or gain).
     if abs(p_abs) <= rounding_budget:
         p_abs = 0.0
+        sums /= survival
     probabilities = {label: float(sums[i]) for i, label in enumerate(detector_map.labels)}
     return DetectionDistribution(probabilities, p_abs)

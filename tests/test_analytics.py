@@ -190,6 +190,15 @@ class TestSemitransparentExact:
         report = semitransparent_exact(1, n, np.pi / (2 * n), (1.0,))
         assert abs(report.p_abs) <= 2 * np.finfo(float).eps
 
+    def test_transparent_pixels_add_no_absorption(self):
+        # Summed over pixels, the transparent ones' cos^2 + sin^2 rounds
+        # above 1: d = 11, N = 50 read p_abs = -2.2e-16.
+        n = 50
+        theta = np.pi / (2 * n)
+        assert semitransparent_exact(11, n, theta, (1.0,) * 11).p_abs == 0.0
+        mixed = semitransparent_exact(3, n, theta, (1.0, 0.0, 1.0))
+        assert mixed.p_abs == (1.0 - np.cos(theta) ** (2 * n)) / 3
+
     def test_binary_limits_are_trigonometric_and_close_to_block_power(self):
         # The block power drifts from the exact forms by rounding (1.3e-12
         # at N = 10^4), well inside the 1e-10 oracle tolerance of verify.

@@ -76,6 +76,7 @@ class TestParsing:
         ({"format": "xml"}, "format"),
         ({"d": "4"}, "d"),
         ({"N": 2.7}, "N"),
+        ({"n": 10}, "n"),
     ])
     def test_config_file_values_checked_like_flags(self, tmp_path, capsys, entry, field):
         path = tmp_path / "cfg.json"
@@ -290,6 +291,8 @@ class TestCmdVerify:
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         result = verify.check_unitarity()
         assert not result.passed
+        # The check must catch the fault, not crash on the broken element.
+        assert result.detail.startswith("max norm drift")
 
     def test_failing_check_gives_numeric_exit_code(self, monkeypatch, capsys):
         def broken_rotator(theta, d):
@@ -299,8 +302,10 @@ class TestCmdVerify:
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         code = main(["verify"])
+        out = capsys.readouterr().out
         assert code == EXIT_NUMERIC
-        assert "FAIL unitarity" in capsys.readouterr().out
+        # Caught by the check, not reported as "raised ...".
+        assert "FAIL unitarity: max norm drift" in out
 
     def test_verify_json_format(self, capsys):
         code, report = run_json(capsys, ["verify", "--format", "json"])

@@ -124,6 +124,21 @@ class TestRunScheme:
         result = run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.transparent(5), 64))
         assert all(abs(s - 1.0) <= 1e-12 for s in result.trace.survival)
 
+    def test_unitary_trace_reads_exactly_one(self):
+        # Rounding of the cycle product read p_abs_cycle = -4.4e-16 here.
+        result = run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.transparent(14), 169))
+        assert set(result.trace.survival) == {1.0}
+        assert set(result.trace.p_abs_cycle) == {0.0}
+
+    def test_readout_within_budget_stays_in_range(self):
+        # The survival of this unitary run rounds to 1 + 2.2e-13, which
+        # the D0_v detector read before the sums were divided by it.
+        cfg = SchemeConfig("semitransparent-zeno", PixelPattern.transparent(1), 3981)
+        dist = run_scheme(cfg).distribution
+        assert dist.p_abs == 0.0
+        assert all(0.0 <= p <= 1.0 for p in dist.probabilities.values())
+        assert dist.total() == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+
     def test_trace_matches_per_cycle_formula(self):
         # Conditional absorption during cycle n+1 is
         # n_abs cos^2n(t) sin^2(t) / (d - n_abs + n_abs cos^2n(t)).
