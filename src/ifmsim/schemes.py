@@ -255,7 +255,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     built = build_scheme(config)
     cycle = core.compose(built.cycle_elements, label="cycle")
     vec = core.make_initial_state(config.d, config.kind).flat
-    ulp_budget = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
+    per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
 
     survivals: list[float] = []
     p_cycle: list[float] = []
@@ -263,7 +263,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     for k in range(1, built.n_cycles + 1):
         vec = cycle.apply_flat(vec)
         s = float(np.vdot(vec, vec).real)
-        if abs(1.0 - s) <= ulp_budget * k * len(built.cycle_elements):
+        if abs(1.0 - s) <= per_application * k * len(built.cycle_elements):
             s = 1.0
         p_cycle.append(1.0 - s / prev if prev > 0.0 else 0.0)
         survivals.append(s)
@@ -272,7 +272,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         vec = op.apply_flat(vec)
 
     applications = built.n_cycles * len(built.cycle_elements) + len(built.switch_out)
-    budget = ulp_budget * applications
+    budget = per_application * applications
     final_state = PhotonState.from_flat(config.d, vec)
     distribution = core.detection_distribution(final_state, built.detector_map, budget)
     trace = SchemeTrace(tuple(survivals), tuple(p_cycle))

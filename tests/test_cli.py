@@ -122,7 +122,7 @@ class TestCmdRun:
             "--pattern", "10"])
         assert code == EXIT_OK
         assert report["survival"] == 0.625
-        assert len(report["trace"]) == 2
+        assert [rec["cycle"] for rec in report["trace"]] == [1, 2]
 
     def test_all_transparent_has_zero_absorption(self, capsys):
         code, report = run_json(capsys, [
