@@ -9,7 +9,7 @@ rotation instead pushes the revealing-click probability toward 1.
 
 import numpy as np
 
-from ifmsim import PixelPattern, SchemeConfig, run_scheme, zeno_single_exact
+from ifmsim import PixelPattern, SchemeConfig, exact_distribution, run_scheme
 
 print("Single pass, object absent:")
 result = run_scheme(SchemeConfig("ev-single-pass", PixelPattern.from_bits("0")))
@@ -32,5 +32,5 @@ for n in (1, 2, 5, 10, 100, 1000):
     print(f"  {n:>6}  {dist.probabilities['Dh']:>19.6f}  {dist.p_abs:>12.6f}")
 print("  -> absorption falls off like pi^2/4N; the closed form agrees:")
 for n in (10, 1000):
-    report = zeno_single_exact(n, f=1)
+    report = exact_distribution(SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), n))
     print(f"     N={n}: exact p_abs = {report.p_abs:.6f}, pi^2/4N = {np.pi**2/(4*n):.6f}")

@@ -42,14 +42,12 @@ from ifmsim.schemes import (
 from ifmsim.analytics import (
     AnalyticReport,
     block_probabilities,
-    ev_table,
     exact_distribution,
     multipixel_single_pass_table,
     multipixel_zeno_survival,
     per_cycle_absorption,
     semitransparent_asymptotic,
     semitransparent_exact,
-    zeno_single_exact,
 )
 from ifmsim.experiment import (
     ClickCounts,

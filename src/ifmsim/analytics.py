@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ifmsim import core
-from ifmsim.core import EV_DETECTORS, POL_H, POL_V, SINGLE_PIXEL_DETECTORS, PixelPattern
-from ifmsim.schemes import SchemeConfig
+from ifmsim.core import POL_H, POL_V, PixelPattern
+from ifmsim.schemes import SchemeConfig, multipixel_kind
 
 
 @dataclass(frozen=True)
@@ -76,36 +76,6 @@ def block_probabilities(transmission: float | np.ndarray, theta: float, n_cycles
     if t.ndim == 0:
         return float(ph), float(pv)
     return ph, pv
-
-
-def ev_table(f: int) -> AnalyticReport:
-    """Exact single-pass outcome probabilities for one pixel.
-
-    Absent object: the bright detector fires with certainty.  Present
-    object: (1/4, 1/4, 1/2) for bright, dark and absorption.
-    """
-    d0, d1 = EV_DETECTORS
-    if f == 0:
-        exact = {d0: 1.0, d1: 0.0}
-        p_abs = 0.0
-    elif f == 1:
-        exact = {d0: 0.25, d1: 0.25}
-        p_abs = 0.5
-    else:
-        raise ValueError(f"occupancy bit must be 0 or 1, got {f!r}")
-    return AnalyticReport(exact, None, p_abs, efficiency=0.25)
-
-
-def zeno_single_exact(n_cycles: int, f: int = 1) -> AnalyticReport:
-    """Exact cycling-scheme probabilities for one pixel at theta = pi/2N."""
-    if n_cycles < 1:
-        raise ValueError(f"cycle count must be >= 1, got {n_cycles}")
-    if f not in (0, 1):
-        raise ValueError(f"occupancy bit must be 0 or 1, got {f!r}")
-    dh, dv = SINGLE_PIXEL_DETECTORS
-    # An opaque pixel (f = 1) transmits nothing, an empty one everything.
-    ph, pv = block_probabilities(1.0 - f, np.pi / (2 * n_cycles), n_cycles)
-    return AnalyticReport({dh: ph, dv: pv}, None, 1.0 - ph - pv, efficiency=ph if f else None)
 
 
 def multipixel_single_pass_table(d: int, pattern: PixelPattern) -> AnalyticReport:
@@ -230,52 +200,47 @@ def semitransparent_asymptotic(
     return AnalyticReport(None, asym, 1.0 - sum(asym.values()))
 
 
+def _as_kind(probs: dict[str, float], kind: str) -> dict[str, float]:
+    """Multi-pixel report ``probs`` under the detector labels of ``kind``.
+
+    The folded scheme's switch-out reverses h and v; a single-pixel kind
+    renames its d = 1 labels.
+    """
+    if kind == "michelson-zeno":
+        return core.swap_hv_labels(probs)
+    _, names = multipixel_kind(kind)
+    return {names.get(label, label): p for label, p in probs.items()} if names else probs
+
+
 def exact_distribution(config: SchemeConfig) -> AnalyticReport:
     """Exact closed-form report for any scheme configuration.
 
-    Single-pass kinds require opaque/transparent patterns.  The folded
-    scheme is evaluated through the cycling closed form with the per-cycle
-    rotation and the switch-out label reversal applied.
+    Single-pass kinds require opaque/transparent patterns.  The cycling
+    schemes use the block closed form with the per-cycle rotation; the
+    folded scheme's h and v labels are then exchanged, and a single-pixel
+    kind reads its multi-pixel kind's d = 1 report under its own labels.
     """
-    kind = config.kind
-    pattern = config.pattern
-    if kind == "ev-single-pass":
-        if not pattern.is_binary:
-            raise ValueError("no closed form for a semi-transparent single-pass run")
-        return ev_table(pattern.f[0])
-    if kind == "multipixel-single-pass":
-        return multipixel_single_pass_table(config.d, pattern)
-    if kind == "zeno-single-pixel":
-        if not pattern.is_binary:
-            raise ValueError("zeno-single-pixel closed form requires a binary pattern")
-        if config.theta is not None and abs(config.theta - np.pi / (2 * config.n_cycles)) > 1e-12:
-            raise ValueError("zeno-single-pixel closed form assumes theta = pi/2N")
-        return zeno_single_exact(config.n_cycles, pattern.f[0])
-    if kind in ("multipixel-zeno", "semitransparent-zeno", "michelson-zeno"):
+    if multipixel_kind(config.kind)[0] == "multipixel-single-pass":
+        report = multipixel_single_pass_table(config.d, config.pattern)
+    else:
         report = semitransparent_exact(
-            config.d, config.n_cycles, config.cycle_rotation, pattern.transmissions
+            config.d, config.n_cycles, config.cycle_rotation, config.pattern.transmissions
         )
-        if kind == "michelson-zeno":
-            assert report.exact is not None
-            report = AnalyticReport(
-                core.swap_hv_labels(report.exact), None, report.p_abs, report.efficiency
-            )
-        return report
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    assert report.exact is not None
+    return AnalyticReport(_as_kind(report.exact, config.kind), None, report.p_abs,
+                          report.efficiency)
 
 
 def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
-    """Large-N report for cycling schemes at the canonical angle, else None.
+    """Large-N report for the cycling schemes, else None.
 
     Fully transparent pixels take their exact limit values (p_v = 1/d)
     instead of the poled expansion.
     """
-    if config.kind not in core.ZENO_KINDS or config.theta is not None:
+    if config.kind not in core.ZENO_KINDS:
         return None
-    asym = _asymptotic_probabilities(config.d, config.n_cycles, config.pattern.transmissions)
-    if config.kind == "michelson-zeno":
-        asym = core.swap_hv_labels(asym)
-    if config.kind == "zeno-single-pixel":
-        dh, dv = SINGLE_PIXEL_DETECTORS
-        asym = {dh: asym["D0_h"], dv: asym["D0_v"]}
+    asym = _as_kind(
+        _asymptotic_probabilities(config.d, config.n_cycles, config.pattern.transmissions),
+        config.kind,
+    )
     return AnalyticReport(None, asym, 1.0 - sum(asym.values()))

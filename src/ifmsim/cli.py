@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from ifmsim import analytics, experiment, verify
-from ifmsim.core import SCHEME_KINDS, PixelPattern
-from ifmsim.schemes import SchemeConfig, run_scheme
+from ifmsim.core import SCHEME_KINDS, ZENO_KINDS, PixelPattern
+from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig, run_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -304,8 +304,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if (cfg.sweep_n is None) == (cfg.sweep_t is None):
         raise UsageError("sweep needs exactly one of sweep-N or sweep-T")
-    if cfg.scheme not in ("zeno-single-pixel", "multipixel-zeno",
-                          "semitransparent-zeno", "michelson-zeno"):
+    if cfg.scheme not in ZENO_KINDS:
         raise UsageError("sweep is defined for the cycling schemes")
 
     points: list[SchemeConfig] = []
@@ -399,7 +398,7 @@ def cmd_shots(cfg: RunConfig) -> int:
             "transmission_estimates": list(image.transmission or ()),
             "intervals": [list(i) if i else None for i in (image.intervals or ())],
         }
-    elif scheme_config.kind in ("multipixel-zeno", "michelson-zeno", "multipixel-single-pass"):
+    elif scheme_config.kind not in SINGLE_PIXEL_KINDS:
         image = experiment.reconstruct_pattern(counts, scheme_config)
         reconstruction = {"verdicts": list(image.verdicts)}
         truth = [

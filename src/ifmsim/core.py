@@ -40,11 +40,6 @@ ZENO_KINDS = frozenset({
 SINGLE_PASS_KINDS = frozenset({"ev-single-pass", "multipixel-single-pass"})
 SCHEME_KINDS = ZENO_KINDS | SINGLE_PASS_KINDS
 
-# Detector label conventions shared by the scheme builder and the analytic
-# evaluators.
-EV_DETECTORS = ("D0", "D1")
-SINGLE_PIXEL_DETECTORS = ("Dh", "Dv")
-
 
 def pol_detector_label(ell: int, pol: int) -> str:
     """Label of the polarisation-resolved detector for OAM value ``ell``."""
@@ -321,25 +316,17 @@ def _sites(d: int) -> np.ndarray:
 # Element constructors
 # ---------------------------------------------------------------------------
 
-def beam_splitter(d: int, convention: str = "hadamard") -> ElementOp:
+def beam_splitter(d: int) -> ElementOp:
     """Balanced beam splitter coupling spatial modes 0 and d.
 
-    The default convention is the real Hadamard,
-    |0> -> (|0> + |d>)/sqrt(2) and |d> -> (|0> - |d>)/sqrt(2).
-    ``convention="symmetric"`` uses the 50/50 splitter with i phases on the
-    reflected amplitudes instead; the two differ only in which output port
-    carries the constructive interference.
-    Modes 1..d-1 are untouched.
+    The real Hadamard, |0> -> (|0> + |d>)/sqrt(2) and
+    |d> -> (|0> - |d>)/sqrt(2), so a transparent object interferes
+    constructively on mode 0.  Modes 1..d-1 are untouched.
     """
     r = 1.0 / np.sqrt(2.0)
-    if convention == "hadamard":
-        block = np.array([[r, r], [r, -r]], dtype=np.complex128)
-    elif convention == "symmetric":
-        block = np.array([[r, 1j * r], [1j * r, r]], dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown beam splitter convention {convention!r}")
+    block = np.array([[r, r], [r, -r]], dtype=np.complex128)
     sites = _sites(d)
-    return block_op(d, block, sites[..., 0].ravel(), sites[..., d].ravel(), f"BS({convention})")
+    return block_op(d, block, sites[..., 0].ravel(), sites[..., d].ravel(), "BS")
 
 
 def polarising_beam_splitter(d: int) -> ElementOp:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ifmsim import analytics, core, schemes
 from ifmsim.core import DetectionDistribution
-from ifmsim.schemes import SchemeConfig
+from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig
 
 ABSORBED = "absorbed"
 
@@ -189,7 +189,7 @@ def reconstruct_pattern(counts: ClickCounts, config: SchemeConfig) -> Reconstruc
     opaque.  Ties, including the zero-click case, stay unknown.
     """
     kind = config.kind
-    if kind in ("ev-single-pass", "zeno-single-pixel"):
+    if kind in SINGLE_PIXEL_KINDS:
         raise ValueError(f"{kind} has no per-pixel detectors to reconstruct from")
     d = config.d
     verdicts: list[str] = []

@@ -2,14 +2,15 @@
 
 Each scheme is an ordered list of optical elements plus a detector map:
 
-* ``ev-single-pass``        - balanced two-arm interferometer, one pixel.
-* ``zeno-single-pixel``     - cycling interrogation of one pixel.
-* ``multipixel-single-pass``- OAM-encoded parallel version of the first.
+* ``multipixel-single-pass``- OAM-encoded balanced two-arm interferometer.
 * ``multipixel-zeno``       - OAM-encoded cycling scheme.
 * ``michelson-zeno``        - folded cycling scheme, half rotation per pass,
                               Pockels switch-out (detector meaning reversed).
 * ``semitransparent-zeno``  - the cycling scheme with arbitrary per-pixel
                               transmissions.
+
+The single-pixel kinds ``ev-single-pass`` and ``zeno-single-pixel`` are
+the first two at d = 1, read under their own detector labels.
 
 ``run_scheme`` composes each scheme's cycle into one gather-form element,
 applies it once per cycle (O(D) work each) while recording the survival
@@ -26,10 +27,8 @@ import numpy as np
 
 from ifmsim import core
 from ifmsim.core import (
-    EV_DETECTORS,
     POL_H,
     POL_V,
-    SINGLE_PIXEL_DETECTORS,
     SCHEME_KINDS,
     ZENO_KINDS,
     DetectionDistribution,
@@ -42,7 +41,7 @@ from ifmsim.core import (
 # Rounding budget of a run: a norm deficit within
 # c * eps * (element applications) is rounding, not absorption, with c below.
 # Over 1096 unitary runs (transparent objects, all six kinds, d <= 24,
-# N <= 10^4, both encoder forms and beam splitter conventions) the largest
+# N <= 10^4, with the since-removed encoder and splitter variants) the largest
 # |1 - survival| / (eps * applications) was 1.0, reached by three-element
 # single-pass runs; cycling runs stayed below 0.15 (0.047 for the
 # d=8, N=5000 run that reported p_abs = -4.2e-13).  c = 2 doubles the worst.
@@ -51,39 +50,38 @@ from ifmsim.core import (
 # largest ratio was 0.83, and 0.75 in cycling runs (at cycle 1).
 ROUNDING_ULPS_PER_APPLICATION = 2.0
 
+# Each single-pixel kind runs as its multi-pixel kind at d = 1; the d = 1
+# detector labels are renamed to the single-pixel ones.
+SINGLE_PIXEL_KINDS: dict[str, tuple[str, dict[str, str]]] = {
+    "ev-single-pass": ("multipixel-single-pass", {"D0_0": "D0", "Dd_0": "D1"}),
+    "zeno-single-pixel": ("multipixel-zeno", {"D0_h": "Dh", "D0_v": "Dv"}),
+}
+
+
+def multipixel_kind(kind: str) -> tuple[str, dict[str, str]]:
+    """Multi-pixel kind that runs ``kind`` and the renaming of its detector labels."""
+    return SINGLE_PIXEL_KINDS.get(kind, (kind, {}))
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Full description of one experiment.
+    """Full description of one experiment: scheme kind, object and cycle count.
 
-    ``theta`` is the rotation angle per rotator passage; when omitted it
-    defaults to the canonical value pi/2N for the cycling schemes and
-    pi/4N for the folded (Michelson) scheme, which sees the rotator twice
-    per cycle.  Single-pass kinds ignore ``n_cycles`` and ``theta``.
-
-    ``encoder_form`` selects between the composed elementary gates
-    ("gates": sorter, converter, object, inverses) and the equivalent
-    single OAM-diagonal attenuator ("oam-diagonal").
+    The cycling schemes use the canonical rotation angle (see
+    ``effective_theta``); single-pass kinds ignore ``n_cycles``.
     """
 
     kind: str
     pattern: PixelPattern
     n_cycles: int = 1
-    theta: float | None = None
-    encoder_form: str = "gates"
-    bs_convention: str = "hadamard"
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in ("ev-single-pass", "zeno-single-pixel") and self.pattern.d != 1:
+        if self.kind in SINGLE_PIXEL_KINDS and self.pattern.d != 1:
             raise ValueError(f"{self.kind} is a single-pixel scheme, got d={self.pattern.d}")
         if self.kind in ZENO_KINDS and self.n_cycles < 1:
             raise ValueError(f"cycle count must be >= 1, got N={self.n_cycles}")
-        if self.theta is not None and not (0.0 < self.theta <= np.pi / 2):
-            raise ValueError(f"rotation angle must lie in (0, pi/2], got {self.theta}")
-        if self.encoder_form not in ("gates", "oam-diagonal"):
-            raise ValueError(f"unknown encoder form {self.encoder_form!r}")
 
     @property
     def d(self) -> int:
@@ -91,9 +89,8 @@ class SchemeConfig:
 
     @property
     def effective_theta(self) -> float:
-        """Rotation angle per rotator passage actually used in the run."""
-        if self.theta is not None:
-            return self.theta
+        """Rotation angle per rotator passage: pi/2N, or pi/4N for the folded
+        (Michelson) scheme, which sees the rotator twice per cycle."""
         if self.kind == "michelson-zeno":
             return np.pi / (4 * self.n_cycles)
         return np.pi / (2 * self.n_cycles)
@@ -137,14 +134,12 @@ class SchemeResult(NamedTuple):
     trace: SchemeTrace
 
 
-def _encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
+def encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
     """Path-to-OAM encoder around the object, on arm 0.
 
     The folded scheme adds its arm mirror stage behind the object.
     """
     d = config.d
-    if config.encoder_form == "oam-diagonal":
-        return (core.object_attenuator(config.pattern, "oam-diagonal"),)
     mirrors = (core.arm_mirrors(d),) if config.kind == "michelson-zeno" else ()
     return (
         core.oam_sorter(d),
@@ -156,22 +151,21 @@ def _encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
     )
 
 
-def _port_detector_map(d: int, bright_mode: int) -> DetectorMap:
+def _port_detector_map(d: int) -> DetectorMap:
     """OAM-resolved detectors behind the two output ports.
 
-    ``bright_mode`` is the port receiving the constructive interference for
-    a fully transparent object; it carries the labels D0_ell, the dark port
-    the labels Dd_ell.  Both pols feed the same port detector.
+    Mode 0, the bright port for a fully transparent object, carries the
+    labels D0_ell, the dark mode d the labels Dd_ell.  Both pols feed the
+    same port detector.
     """
-    dark_mode = d if bright_mode == 0 else 0
     groups: dict[str, list[tuple[int, int, int]]] = {}
     for ell in range(d):
         groups[core.port_detector_label("0", ell)] = [
-            (pol, ell, bright_mode) for pol in (POL_H, POL_V)
+            (pol, ell, 0) for pol in (POL_H, POL_V)
         ]
     for ell in range(d):
         groups[core.port_detector_label("d", ell)] = [
-            (pol, ell, dark_mode) for pol in (POL_H, POL_V)
+            (pol, ell, d) for pol in (POL_H, POL_V)
         ]
     return DetectorMap.from_groups(d, groups)
 
@@ -190,57 +184,41 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
 
     The final OAM sorters fanning the output ports onto individual
     detectors are folded into the detector map, which resolves (pol, OAM,
-    port) directly.  The single-pixel kinds read the d = 1 port or
-    polarisation map under their own labels.
+    port) directly.  A single-pixel kind is built as its multi-pixel kind
+    at d = 1, with the detector labels renamed (see ``SINGLE_PIXEL_KINDS``).
     """
     d = config.d
     theta = config.effective_theta
-    kind = config.kind
-    # The Hadamard convention interferes constructively on mode 0, the
-    # symmetric convention on mode d; detector D0 tracks the bright port.
-    bright_mode = 0 if config.bs_convention == "hadamard" else d
-
-    if kind == "ev-single-pass":
-        elements = (
-            core.beam_splitter(d, config.bs_convention),
-            core.object_attenuator(config.pattern, "pixel-paths"),
-            core.beam_splitter(d, config.bs_convention),
-        )
-        dmap = _port_detector_map(d, bright_mode)
-        return BuiltScheme(elements, (), 1, DetectorMap(d, EV_DETECTORS, dmap.assignment))
-
+    kind, names = multipixel_kind(config.kind)
     if kind == "multipixel-single-pass":
-        elements = (
-            core.beam_splitter(d, config.bs_convention),
-            *_encoder_elements(config),
-            core.beam_splitter(d, config.bs_convention),
-        )
-        return BuiltScheme(elements, (), 1, _port_detector_map(d, bright_mode))
+        elements = (core.beam_splitter(d), *encoder_elements(config), core.beam_splitter(d))
+        return BuiltScheme(elements, (), 1, _renamed(_port_detector_map(d), names))
 
-    if kind in ("zeno-single-pixel", "multipixel-zeno", "semitransparent-zeno"):
-        cycle = (
-            core.polarisation_rotator(theta, d),
-            core.polarising_beam_splitter(d),
-            *_encoder_elements(config),
-            core.polarising_beam_splitter(d),
-        )
-        dmap = _pol_detector_map(d)
-        if kind == "zeno-single-pixel":
-            dmap = DetectorMap(d, SINGLE_PIXEL_DETECTORS, dmap.assignment)
-        return BuiltScheme(cycle, (), config.n_cycles, dmap)
-
+    dmap = _renamed(_pol_detector_map(d), names)
     if kind == "michelson-zeno":
         cycle = (
             core.polarisation_rotator(theta, d),
             core.mirror_reflect("retro", d),
             core.polarisation_rotator(theta, d),
             core.polarising_beam_splitter(d),
-            *_encoder_elements(config),
+            *encoder_elements(config),
             core.polarising_beam_splitter(d),
         )
-        return BuiltScheme(cycle, (core.pockels_flip(d),), config.n_cycles, _pol_detector_map(d))
+        return BuiltScheme(cycle, (core.pockels_flip(d),), config.n_cycles, dmap)
 
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    cycle = (
+        core.polarisation_rotator(theta, d),
+        core.polarising_beam_splitter(d),
+        *encoder_elements(config),
+        core.polarising_beam_splitter(d),
+    )
+    return BuiltScheme(cycle, (), config.n_cycles, dmap)
+
+
+def _renamed(dmap: DetectorMap, names: dict[str, str]) -> DetectorMap:
+    """``dmap`` with the labels in ``names`` renamed."""
+    labels = tuple(names.get(label, label) for label in dmap.labels)
+    return DetectorMap(dmap.d, labels, dmap.assignment) if names else dmap
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:

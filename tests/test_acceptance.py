@@ -51,7 +51,7 @@ def test_c02_single_pixel_cycling_survival():
         for n in (10, 100, 1000):
             cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), n)
             run_ph = run_scheme(cfg).distribution.probabilities["Dh"]
-            exact_ph = analytics.zeno_single_exact(n, f=1).exact["Dh"]
+            exact_ph = analytics.exact_distribution(cfg).exact["Dh"]
             assert abs(run_ph - exact_ph) <= 1e-12
             assert abs(run_ph - (1.0 - np.pi**2 / (4 * n))) <= 5.0 / n**2
         assert time.time() - start < 1.0

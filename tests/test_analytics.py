@@ -8,62 +8,72 @@ import pytest
 from ifmsim import analytics
 from ifmsim.analytics import (
     AnalyticReport,
-    ev_table,
+    exact_distribution,
     multipixel_single_pass_table,
     multipixel_zeno_survival,
     per_cycle_absorption,
     semitransparent_asymptotic,
     semitransparent_exact,
-    zeno_single_exact,
 )
 from ifmsim.core import PixelPattern
 from ifmsim.schemes import SchemeConfig, run_scheme
 
 
+def single_pass_report(f):
+    """Closed-form report of the single-pixel single-pass run on occupancy ``f``."""
+    return exact_distribution(SchemeConfig("ev-single-pass", PixelPattern.from_bits([f])))
+
+
+def cycling_report(n, f):
+    """Closed-form report of the single-pixel cycling run on occupancy ``f``."""
+    return exact_distribution(SchemeConfig("zeno-single-pixel", PixelPattern.from_bits([f]), n))
+
+
 class TestEvTable:
     def test_absent_object(self):
-        report = ev_table(0)
+        report = single_pass_report(0)
         assert report.exact == {"D0": 1.0, "D1": 0.0}
         assert report.p_abs == 0.0
 
     def test_present_object(self):
-        report = ev_table(1)
+        report = single_pass_report(1)
         assert report.exact == {"D0": 0.25, "D1": 0.25}
         assert report.p_abs == 0.5
         assert report.efficiency == 0.25
 
     def test_sums_to_one_exactly(self):
         for f in (0, 1):
-            report = ev_table(f)
+            report = single_pass_report(f)
             assert sum(report.exact.values()) + report.p_abs == 1.0
 
     def test_rejects_bad_bit(self):
+        # A semi-transparent pixel has no single-pass closed form.
         with pytest.raises(ValueError):
-            ev_table(2)
+            exact_distribution(SchemeConfig("ev-single-pass", PixelPattern((0.5,))))
 
 
 class TestZenoSingleExact:
     def test_single_cycle_always_absorbs(self):
         # N=1 means a full pi/2 rotation in one step: the photon is fully
         # routed into the blocked arm.
-        report = zeno_single_exact(1, f=1)
+        report = cycling_report(1, f=1)
         assert report.exact["Dh"] == pytest.approx(0.0, abs=1e-30)
         assert report.p_abs == pytest.approx(1.0, abs=1e-30)
 
     def test_large_n_absorption_shrinks_as_quarter_pi_sq_over_n(self):
         # Exact minus leading order is second order in pi^2/4N.
         for n in (100, 1000, 10000):
-            report = zeno_single_exact(n, f=1)
+            report = cycling_report(n, f=1)
             leading = np.pi**2 / (4 * n)
             assert report.p_abs == pytest.approx(leading, abs=leading**2)
 
     def test_first_order_expansion_error_bound(self):
         n = 1000
-        report = zeno_single_exact(n, f=1)
+        report = cycling_report(n, f=1)
         assert abs(report.exact["Dh"] - (1.0 - np.pi**2 / (4 * n))) <= 5.0 / n**2
 
     def test_absent_object_fully_rotates(self):
-        report = zeno_single_exact(25, f=0)
+        report = cycling_report(25, f=0)
         assert report.exact["Dv"] == pytest.approx(1.0, abs=1e-12)
         assert report.p_abs == 0.0
 
@@ -282,8 +292,6 @@ class TestAsymptoticDistribution:
     def test_none_off_the_canonical_angle_or_for_single_pass(self):
         pattern = PixelPattern.from_bits("10")
         assert analytics.asymptotic_distribution(
-            SchemeConfig("multipixel-zeno", pattern, 100, theta=0.01)) is None
-        assert analytics.asymptotic_distribution(
             SchemeConfig("multipixel-single-pass", pattern)) is None
         assert analytics.asymptotic_distribution(
             SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))) is None
@@ -366,6 +374,6 @@ class TestConvergenceProperties:
         # Conditional revealing-click probability per opaque pixel is
         # cos^2N(pi/2N), above the single-pass 1/4 from three cycles on.
         for n in range(3, 65):
-            efficiency = zeno_single_exact(n, f=1).efficiency
+            efficiency = cycling_report(n, f=1).efficiency
             assert efficiency > 0.25
-        assert zeno_single_exact(2, f=1).efficiency == pytest.approx(0.25, abs=1e-12)
+        assert cycling_report(2, f=1).efficiency == pytest.approx(0.25, abs=1e-12)

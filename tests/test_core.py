@@ -30,7 +30,6 @@ def random_state(rng, d, normalized=True):
 def all_unitaries(d, theta=0.3):
     return [
         core.beam_splitter(d),
-        core.beam_splitter(d, "symmetric"),
         core.polarising_beam_splitter(d),
         core.polarisation_rotator(theta, d),
         core.oam_sorter(d),
@@ -398,9 +397,9 @@ def dense_permutation(d, site_map):
     return matrix
 
 
-def dense_beam_splitter(d, convention):
+def dense_beam_splitter(d):
     r = 1.0 / np.sqrt(2.0)
-    block = {"hadamard": [[r, r], [r, -r]], "symmetric": [[r, 1j * r], [1j * r, r]]}[convention]
+    block = [[r, r], [r, -r]]
     sub = np.eye(d + 1, dtype=np.complex128)
     sub[0, 0], sub[0, d], sub[d, 0], sub[d, d] = block[0][0], block[0][1], block[1][0], block[1][1]
     return np.kron(np.eye(2 * d, dtype=np.complex128), sub)
@@ -482,8 +481,7 @@ class TestGatherFormAgainstDenseReference:
             v = random_state(rng, d).flat
             theta = float(rng.uniform(0.0, np.pi / 2))
             cases = [
-                (core.beam_splitter(d), dense_beam_splitter(d, "hadamard")),
-                (core.beam_splitter(d, "symmetric"), dense_beam_splitter(d, "symmetric")),
+                (core.beam_splitter(d), dense_beam_splitter(d)),
                 (core.polarisation_rotator(theta, d), dense_rotator(theta, d)),
             ]
             for op, reference in cases:
