@@ -157,24 +157,27 @@ def semitransparent_exact(
 
 def _asymptotic_probabilities(
     d: int, n_cycles: int, transmissions: tuple[float, ...]
-) -> dict[str, float]:
-    """Large-N (p_h, p_v) of each pixel at theta = pi/2N.
+) -> tuple[dict[str, float], float]:
+    """Large-N (p_h, p_v) of each pixel at theta = pi/2N, and the absorption.
 
     p_h = (1/d) (1 - (1+sqrt(T))/(1-sqrt(T)) pi^2/4N) and
     p_v = (1/d) T/(1-sqrt(T))^2 pi^2/4N^2, with the exact limit (0, 1/d)
-    at the pole T = 1.
+    at the pole T = 1.  As in ``semitransparent_exact``, the absorption is
+    summed over the pixels with T < 1 only.
     """
     asym: dict[str, float] = {}
+    lost = 0.0
     for ell, t in enumerate(transmissions):
         if t == 1.0:
-            ph, pv = 0.0, 1.0 / d
+            ph, pv = 0.0, 1.0
         else:
             r = np.sqrt(t)
-            ph = float((1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n_cycles)) / d)
-            pv = float((t / (1.0 - r) ** 2) * np.pi**2 / (4 * n_cycles**2) / d)
-        asym[core.pol_detector_label(ell, POL_H)] = ph
-        asym[core.pol_detector_label(ell, POL_V)] = pv
-    return asym
+            ph = float(1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n_cycles))
+            pv = float((t / (1.0 - r) ** 2) * np.pi**2 / (4 * n_cycles**2))
+            lost += 1.0 - ph - pv
+        asym[core.pol_detector_label(ell, POL_H)] = ph / d
+        asym[core.pol_detector_label(ell, POL_V)] = pv / d
+    return asym, lost / d
 
 
 def semitransparent_asymptotic(
@@ -196,8 +199,8 @@ def semitransparent_asymptotic(
                 f"transmission T_{ell}={t} not in [0, 1): the large-N expansion "
                 "has a pole at 1 - sqrt(T) = 0"
             )
-    asym = _asymptotic_probabilities(d, n_cycles, ts)
-    return AnalyticReport(None, asym, 1.0 - sum(asym.values()))
+    asym, p_abs = _asymptotic_probabilities(d, n_cycles, ts)
+    return AnalyticReport(None, asym, p_abs)
 
 
 def _as_kind(probs: dict[str, float], kind: str) -> dict[str, float]:
@@ -239,8 +242,7 @@ def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
     """
     if config.kind not in core.ZENO_KINDS:
         return None
-    asym = _as_kind(
-        _asymptotic_probabilities(config.d, config.n_cycles, config.pattern.transmissions),
-        config.kind,
+    asym, p_abs = _asymptotic_probabilities(
+        config.d, config.n_cycles, config.pattern.transmissions
     )
-    return AnalyticReport(None, asym, 1.0 - sum(asym.values()))
+    return AnalyticReport(None, _as_kind(asym, config.kind), p_abs)

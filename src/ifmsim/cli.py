@@ -229,9 +229,12 @@ def _round15(obj):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"out: cannot write {out!r}: {exc}") from exc
 
 
 def _json_report(report: dict) -> str:
@@ -382,6 +385,8 @@ def cmd_shots(cfg: RunConfig) -> int:
     _reject_sweep_axes(cfg, "shots")
     if cfg.shots < 1:
         raise UsageError(f"shots must be >= 1, got {cfg.shots}")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution

@@ -267,6 +267,16 @@ class TestAsymptoticDistribution:
         assert report.p_abs == expected.p_abs
         assert report.exact is None
 
+    def test_transparent_pixels_add_no_absorption(self):
+        # d copies of 1/d summed above 1: d = 9 and 11 read p_abs = -2.2e-16.
+        for d in (9, 11):
+            cfg = SchemeConfig("multipixel-zeno", PixelPattern.transparent(d), 100)
+            p_abs = analytics.asymptotic_distribution(cfg).p_abs
+            assert p_abs == 0.0 and type(p_abs) is float
+        mixed = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("101"), 100)
+        opaque = semitransparent_asymptotic(1, 100, (0.0,))
+        assert analytics.asymptotic_distribution(mixed).p_abs == 2 * opaque.p_abs / 3
+
     def test_transparent_pixel_takes_exact_limit(self):
         cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("100"), 200)
         report = analytics.asymptotic_distribution(cfg)

@@ -185,6 +185,20 @@ class TestCmdSweep:
         assert code == EXIT_OK
         assert len(report["rows"]) == 1
 
+    def test_semitransparent_single_pixel_sweep_is_the_d1_cycling_sweep(self, capsys):
+        argv = ["sweep", "--d", "1", "--transmissions", "0.5", "--sweep-N", "2,4"]
+        code, single = run_json(capsys, argv + ["--scheme", "zeno-single-pixel"])
+        assert code == EXIT_OK
+        _, multi = run_json(capsys, argv + ["--scheme", "semitransparent-zeno"])
+        names = {"D0_h": "Dh", "D0_v": "Dv"}
+        for row, ref in zip(single["rows"], multi["rows"], strict=True):
+            expected = {}
+            for key, value in ref.items():
+                prefix, _, label = key.partition("_")
+                expected[f"{prefix}_{names[label]}" if label in names else key] = value
+            expected["scheme"] = "zeno-single-pixel"
+            assert row == expected
+
     def test_empty_axis_rejected(self, capsys):
         code = main(["sweep", "--scheme", "multipixel-zeno", "--d", "2",
                      "--pattern", "10"])
@@ -270,6 +284,21 @@ class TestCmdShots:
         code = main(["shots", "--scheme", "ev-single-pass", "--d", "1",
                      "--pattern", "1", "--shots", "0"])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10",
+      "--out", "MISSING_DIR/x.json"], "out: cannot write"),
+    (["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10",
+      "--shots", "100", "--seed", "-1"], "seed must be >= 0"),
+])
+def test_bad_output_path_or_seed_is_a_usage_error(tmp_path, capsys, argv, message):
+    argv = [a.replace("MISSING_DIR", str(tmp_path / "missing")) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert message in captured.err
+    assert captured.out == ""
 
 
 class TestCmdVerify:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ifmsim import core
+from ifmsim import analytics, core
+from ifmsim.analytics import AnalyticReport
 from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import (
     SchemeConfig,
@@ -227,6 +228,31 @@ class TestParallelDecomposition:
 
 
 class TestDegenerateSinglePixel:
+    @pytest.mark.parametrize("n", (1, 7, 100))
+    @pytest.mark.parametrize("f", (0, 1))
+    @pytest.mark.parametrize("kind, multi, names", [
+        ("ev-single-pass", "multipixel-single-pass", {"D0_0": "D0", "Dd_0": "D1"}),
+        ("zeno-single-pixel", "multipixel-zeno", {"D0_h": "Dh", "D0_v": "Dv"}),
+    ])
+    def test_single_pixel_kind_is_its_multipixel_kind_at_d1(self, kind, multi, names, f, n):
+        pattern = PixelPattern.from_bits([f])
+        single, wide = SchemeConfig(kind, pattern, n), SchemeConfig(multi, pattern, n)
+
+        def renamed(probs):
+            return {names[label]: p for label, p in probs.items()}
+
+        a, b = run_scheme(single), run_scheme(wide)
+        assert a.distribution.probabilities == renamed(b.distribution.probabilities)
+        assert a.distribution.p_abs == b.distribution.p_abs
+        assert a.trace == b.trace
+        exact = analytics.exact_distribution(wide)
+        assert analytics.exact_distribution(single) == AnalyticReport(
+            renamed(exact.exact), None, exact.p_abs, exact.efficiency)
+        asym = analytics.asymptotic_distribution(wide)
+        expected = None if asym is None else AnalyticReport(
+            None, renamed(asym.asymptotic), asym.p_abs)
+        assert analytics.asymptotic_distribution(single) == expected
+
     def test_multipixel_single_pass_reduces_to_two_arm_scheme(self):
         for bits in ("0", "1"):
             ev = run_scheme(SchemeConfig("ev-single-pass", PixelPattern.from_bits(bits)))
