@@ -212,7 +212,7 @@ def _as_kind(probs: dict[str, float], kind: str) -> dict[str, float]:
     if kind == "michelson-zeno":
         return core.swap_hv_labels(probs)
     _, names = multipixel_kind(kind)
-    return {names.get(label, label): p for label, p in probs.items()} if names else probs
+    return {names.get(label, label): p for label, p in probs.items()}
 
 
 def exact_distribution(config: SchemeConfig) -> AnalyticReport:
@@ -223,7 +223,7 @@ def exact_distribution(config: SchemeConfig) -> AnalyticReport:
     folded scheme's h and v labels are then exchanged, and a single-pixel
     kind reads its multi-pixel kind's d = 1 report under its own labels.
     """
-    if multipixel_kind(config.kind)[0] == "multipixel-single-pass":
+    if config.kind in core.SINGLE_PASS_KINDS:
         report = multipixel_single_pass_table(config.d, config.pattern)
     else:
         report = semitransparent_exact(

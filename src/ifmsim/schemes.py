@@ -41,9 +41,8 @@ from ifmsim.core import (
 # Rounding budget of a run: a norm deficit within
 # c * eps * (element applications) is rounding, not absorption, with c below.
 # Over 1096 unitary runs (transparent objects, all six kinds, d <= 24,
-# N <= 10^4, with the since-removed encoder and splitter variants) the largest
-# |1 - survival| / (eps * applications) was 1.0, reached by three-element
-# single-pass runs; cycling runs stayed below 0.15 (0.047 for the
+# N <= 10^4) the largest |1 - survival| / (eps * applications) was 1.0,
+# reached by single-pass runs; cycling runs stayed below 0.15 (0.047 for the
 # d=8, N=5000 run that reported p_abs = -4.2e-13).  c = 2 doubles the worst.
 # The trace holds each cycle's survival to the same budget, counting the
 # applications up to that cycle: over 788 such runs and every cycle the
