@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from ifmsim import analytics, experiment, verify
@@ -34,6 +37,8 @@ EXIT_MISMATCH = 4
 
 DEFAULT_SHOTS = 10000
 DEFAULT_SEED = 0
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class UsageError(Exception):
@@ -175,7 +180,14 @@ class RunConfig:
             raise UsageError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ifmsim`` parser, built on first use and shared by every later call.
+
+    Parsing reads the parser and never changes it, and each ``parse_args``
+    starts from a fresh namespace, so one call's flags cannot leak into the
+    next.  Building it costs far more than a parse of a short command.
+    """
     parser = argparse.ArgumentParser(
         prog="ifmsim",
         description="Interaction-free imaging simulator",
@@ -215,17 +227,6 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
     return args.command, replace(file_cfg, **flags)
 
 
-def _round15(obj):
-    """Round floats to 15 significant digits for byte-stable reports."""
-    if isinstance(obj, float):
-        return float(f"{obj:.15g}")
-    if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -237,12 +238,87 @@ def _emit(text: str, out: str | None) -> None:
         raise UsageError(f"out: cannot write {out!r}: {exc}") from exc
 
 
+def _json_float(x: float) -> str:
+    """``repr`` of ``x`` rounded to 15 significant digits."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(x)}")
+    s = f"{x:.15g}"
+    if "e+" in s or (x and -_MIN_NORMAL < x < _MIN_NORMAL):
+        return repr(float(s))
+    if "." in s or "e" in s:
+        return s
+    return s + ".0"
+
+
+def _json_write(obj, out: list[str], indent: str) -> None:
+    """Append the JSON text of ``obj``, nested at ``indent``, to ``out``."""
+    # Floats come first because reports are mostly floats; a bool is tested
+    # before an int because it is one.
+    if isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            out.append(sep + _json_str(key) + ": ")
+            _json_write(obj[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _json_write(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_report(report: dict) -> str:
-    """Strict JSON text of ``report``; a NaN or infinity raises ValueError (exit 3)."""
+    """Strict JSON text of ``report``; a NaN or infinity raises ValueError (exit 3).
+
+    The text is that of ``json.dumps(.., sort_keys=True, indent=2)`` with
+    every float first rounded to 15 significant digits, so fixed-seed reruns
+    are byte-identical, but it is written in one pass: the standard encoder
+    falls back to pure Python whenever it indents, and rounding there needs a
+    copy of the whole tree.  A float is written as its ``f"{x:.15g}"`` text,
+    which equals ``repr`` of the rounded float except in three cases:
+
+    * an integral value such as ``100`` or ``-0`` lacks the ``.0`` that
+      ``repr`` writes, so it is appended;
+    * ``%g`` switches to exponent form at 1e15 and ``repr`` only at 1e16,
+      so text with a positive exponent is re-read and written by ``repr``;
+    * below the smallest normal float fewer than 15 digits are significant
+      and ``repr`` writes fewer (``5e-324``, not ``4.94065645841247e-324``),
+      so a nonzero subnormal goes through ``repr`` too.
+
+    Keys must be strings, as every report key is.
+    """
+    out: list[str] = []
     try:
-        return json.dumps(_round15(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        _json_write(report, out, "")
     except ValueError as exc:
         raise ValueError(f"report holds a non-finite value: {exc}") from exc
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt_float(x: float) -> str:
@@ -387,6 +463,8 @@ def cmd_shots(cfg: RunConfig) -> int:
         raise UsageError(f"shots must be >= 1, got {cfg.shots}")
     if cfg.seed < 0:
         raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.seed >= 2**128:
+        raise UsageError(f"seed must be < 2**128, got {cfg.seed}")
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution

@@ -1,6 +1,8 @@
 """Command-line interface: parsing, reports, exit codes, self checks."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -104,6 +106,31 @@ class TestParsing:
         cfg = RunConfig(scheme="semitransparent-zeno", d=2, n_cycles=50,
                         transmissions=(0.1, 0.9), sweep_t=(0.0, 0.5))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_leak_into_the_next_parse(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7}))
+        _, first = cli.parse_config(
+            ["run", "--scheme", "semitransparent-zeno", "--d", "2", "--N", "40",
+             "--transmissions", "0.1,0.9", "--config", str(path)])
+        assert (first.n_cycles, first.transmissions, first.seed) == (40, (0.1, 0.9), 7)
+        command, second = cli.parse_config(["sweep", "--d", "2", "--pattern", "10"])
+        assert command == "sweep"
+        assert second == RunConfig(d=2, pattern="10")
+
+    def test_bad_flag_leaves_the_next_parse_correct(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.parse_config(["run", "--d", "2", "--frobnicate"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        command, cfg = cli.parse_config(["shots", "--N", "3"])
+        assert command == "shots"
+        assert cfg == RunConfig(n_cycles=3)
 
 
 class TestCmdRun:
@@ -291,6 +318,8 @@ class TestCmdShots:
       "--out", "MISSING_DIR/x.json"], "out: cannot write"),
     (["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10",
       "--shots", "100", "--seed", "-1"], "seed must be >= 0"),
+    (["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10",
+      "--shots", "100", "--seed", str(2**128)], "seed must be < 2**128"),
 ])
 def test_bad_output_path_or_seed_is_a_usage_error(tmp_path, capsys, argv, message):
     argv = [a.replace("MISSING_DIR", str(tmp_path / "missing")) for a in argv]
@@ -342,3 +371,69 @@ class TestCmdVerify:
         names = {check["name"] for check in report["checks"]}
         assert "unitarity" in names
         assert all(check["passed"] for check in report["checks"])
+
+
+def _round15(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: _round15(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round15(v) for v in obj]
+    return obj
+
+
+def reference_report(report):
+    """The report text as the standard encoder writes it, after rounding every float."""
+    return json.dumps(_round15(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [100.0, -0.0, 0.0, 1e-5, 1.5e-7, 123456789012345.0, 999999999999999.9,
+               1e15, 5e15, 1e16, 1e300, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2]
+
+
+class TestJsonReport:
+    @pytest.mark.parametrize("x", EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+    def test_edge_float(self, x):
+        assert cli._json_report({"x": x}) == reference_report({"x": x})
+
+    def test_containers_and_scalars(self):
+        report = {"empty": {}, "none": [], "nested": {"a": [{}, []], "b": ({"z": 1, "y": 2.5},)},
+                  "text": "Zeno \u00e9t\u00e9 \u2192 \"q\"\n", "flags": [True, False, None],
+                  "big": 2**64 + 1, "negative": -3}
+        assert cli._json_report(report) == reference_report(report)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20211).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        values = [x for x in struct.unpack(f"<{bits.size}d", bits.tobytes()) if math.isfinite(x)]
+        assert cli._json_report({"values": values}) == reference_report({"values": values})
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scheme", "multipixel-zeno", "--d", "3", "--N", "30", "--pattern", "101"],
+        ["sweep", "--scheme", "michelson-zeno", "--d", "2", "--pattern", "10",
+         "--sweep-N", "1,10,1000"],
+        ["sweep", "--scheme", "semitransparent-zeno", "--d", "2", "--N", "500",
+         "--sweep-T", "0,0.3,1"],
+        ["shots", "--scheme", "multipixel-zeno", "--d", "4", "--N", "50", "--pattern", "1100",
+         "--shots", "20000", "--seed", "4"],
+        ["shots", "--scheme", "semitransparent-zeno", "--d", "2", "--N", "100",
+         "--transmissions", "0.2,0.7", "--shots", "20000", "--seed", "4"],
+        ["verify", "--format", "json"],
+    ])
+    def test_command_reports(self, monkeypatch, capsys, argv):
+        reports = []
+        write = cli._json_report
+
+        def recording(report):
+            reports.append(report)
+            return write(report)
+
+        monkeypatch.setattr(cli, "_json_report", recording)
+        assert main(argv) == EXIT_OK
+        assert len(reports) == 1
+        assert capsys.readouterr().out == reference_report(reports[0])
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._json_report({"rows": [{"x": x}]})
