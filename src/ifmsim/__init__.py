@@ -52,7 +52,6 @@ from ifmsim.analytics import (
 from ifmsim.experiment import (
     ClickCounts,
     ReconstructedImage,
-    ShotRecord,
     ShotRecords,
     StatCheck,
     estimate_transmissions,

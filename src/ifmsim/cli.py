@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric or invariant failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -24,10 +25,10 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from ifmsim import analytics, experiment, verify
-from ifmsim.core import SCHEME_KINDS, ZENO_KINDS, PixelPattern
+from ifmsim.core import SCHEME_KINDS, ZENO_KINDS, DetectionDistribution, PixelPattern
 from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig, run_scheme
 
 EXIT_OK = 0
@@ -227,15 +228,26 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
     return args.command, replace(file_cfg, **flags)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Stream to write a command's output to: stdout, or the file ``out``.
+
+    The file is opened on entry, so an unwritable path fails before any
+    work; an error opening or writing it is a usage error (exit 2).
+    """
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         raise UsageError(f"out: cannot write {out!r}: {exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as stream:
+        stream.write(text)
 
 
 def _json_float(x: float) -> str:
@@ -468,20 +480,36 @@ def cmd_shots(cfg: RunConfig) -> int:
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution
-    counts, records = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+    with _output(cfg.out) as stream:
+        counts, records = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+        report = _shots_report(cfg, scheme_config, dist, counts)
+        if (cfg.format or "json") == "json":
+            stream.write(_json_report(report))
+        else:
+            for text in records.csv_chunks():
+                stream.write(text)
+    return EXIT_MISMATCH if report["pattern_match"] is False else EXIT_OK
 
+
+def _shots_report(cfg: RunConfig, scheme_config: SchemeConfig, dist: DetectionDistribution,
+                  counts: experiment.ClickCounts) -> dict:
     stat = experiment.statistical_check(counts, dist) if cfg.shots >= 100 else None
 
     reconstruction = None
     pattern_match: bool | None = None
-    if scheme_config.kind == "semitransparent-zeno":
+    kind = scheme_config.kind
+    multipixel_cycling = kind in ZENO_KINDS and kind not in SINGLE_PIXEL_KINDS
+    # A semi-transparent object has no binary truth to match, so any
+    # multi-pixel cycling kind fits its transmissions instead.
+    if multipixel_cycling and (
+            kind == "semitransparent-zeno" or not scheme_config.pattern.is_binary):
         image = experiment.estimate_transmissions(counts, scheme_config)
         reconstruction = {
             "verdicts": list(image.verdicts),
             "transmission_estimates": list(image.transmission or ()),
             "intervals": [list(i) if i else None for i in (image.intervals or ())],
         }
-    elif scheme_config.kind not in SINGLE_PIXEL_KINDS:
+    elif kind not in SINGLE_PIXEL_KINDS:
         image = experiment.reconstruct_pattern(counts, scheme_config)
         reconstruction = {"verdicts": list(image.verdicts)}
         truth = [
@@ -490,7 +518,7 @@ def cmd_shots(cfg: RunConfig) -> int:
         ]
         pattern_match = list(image.verdicts) == truth
 
-    report = {
+    return {
         "config": cfg.to_dict(),
         "counts": dict(counts.counts),
         "absorbed": counts.absorbed,
@@ -501,13 +529,6 @@ def cmd_shots(cfg: RunConfig) -> int:
         "reconstruction": reconstruction,
         "pattern_match": pattern_match,
     }
-    if (cfg.format or "json") == "json":
-        _emit(_json_report(report), cfg.out)
-    else:
-        _emit(records.to_csv(), cfg.out)
-    if pattern_match is False:
-        return EXIT_MISMATCH
-    return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -6,6 +6,12 @@ of shot k is a pure function of (seed, k): batches drawn in parallel from
 disjoint counter ranges merge into the same record stream, and reruns with
 the same seed are bit-identical.
 
+Shots are drawn ``CHUNK`` at a time and each chunk is folded into a
+per-outcome tally, so sampling memory does not grow with the shot count.
+Each uniform is mapped to its outcome through a guide table built once per
+distribution (see ``_draws``).  A record stream keeps the seed, not the
+shots, and redraws them chunk by chunk when it is written as CSV.
+
 Transmission estimates are per-pixel least-squares fits of the closed-form
 block model, by a numpy grid scan that zooms in on the best point.
 """
@@ -26,47 +32,6 @@ ABSORBED = "absorbed"
 OPAQUE = "opaque"
 TRANSPARENT = "transparent"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One sampled photon: which detector fired, or absorption."""
-
-    shot_index: int
-    outcome: str
-    seed: int
-
-
-class ShotRecords:
-    """Compact record stream of one sampling run.
-
-    Iterating yields :class:`ShotRecord` items; ``to_csv`` serializes the
-    stream as ``shot_index,outcome_label`` lines.
-    """
-
-    def __init__(
-        self,
-        labels: tuple[str, ...],
-        outcome_ids: np.ndarray,
-        seed: int,
-        absorbed_cycle: np.ndarray | None = None,
-    ) -> None:
-        self.labels = labels
-        self.outcome_ids = outcome_ids
-        self.seed = seed
-        self.absorbed_cycle = absorbed_cycle
-
-    def __len__(self) -> int:
-        return len(self.outcome_ids)
-
-    def __iter__(self) -> Iterator[ShotRecord]:
-        for k, oid in enumerate(self.outcome_ids):
-            yield ShotRecord(k, self.labels[oid], self.seed)
-
-    def to_csv(self) -> str:
-        lines = ["shot_index,outcome_label"]
-        lines.extend(f"{k},{self.labels[oid]}" for k, oid in enumerate(self.outcome_ids))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -93,16 +58,145 @@ class ClickCounts:
         return self.counts.get(label, 0) / self.total
 
 
-def _uniforms(seed: int, n_shots: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random(n_shots)
+# Shots drawn per chunk, and buckets of the guide table.  The bucket count
+# is a power of two, so u * GUIDE_BUCKETS is exact for every uniform u.
+CHUNK = 1 << 16
+GUIDE_BUCKETS = 1 << 12
 
 
-def _categorical(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms to category indices; zero-probability bins are unreachable."""
+def _draws(
+    probabilities: np.ndarray, generator: np.random.Generator, n: int
+) -> Iterator[np.ndarray]:
+    """Category ids of the next ``n`` shots of ``generator``, ``CHUNK`` at a time.
+
+    A shot with uniform u takes the number of cumulative probabilities at
+    or below u, capped at the last category (rounding can leave the sum
+    just below 1); zero-probability categories are unreachable.  The search
+    is indexed (Chen and Asau 1974; Devroye 1986, ch. III): bucket j of
+    [0, 1) holds the answer at its left end j / GUIDE_BUCKETS, and every u
+    in a bucket that no cumulative probability falls inside shares it.
+    Only the shots in the few buckets that hold one are searched.  The
+    uniforms come from one generator whatever the chunk size, so the ids
+    do not depend on ``CHUNK``.
+    """
     edges = np.cumsum(probabilities)
-    idx = np.searchsorted(edges, u, side="right")
-    return np.minimum(idx, len(probabilities) - 1)
+    last = len(edges) - 1
+    guide = np.searchsorted(
+        edges, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="right")
+    first = np.minimum(guide[:-1], last)
+    mixed = guide[1:] != guide[:-1]
+    u_buf = np.empty(min(n, CHUNK))
+    bucket_buf = np.empty(len(u_buf), dtype=np.intp)
+    for start in range(0, n, CHUNK):
+        size = min(CHUNK, n - start)
+        u, bucket = u_buf[:size], bucket_buf[:size]
+        generator.random(out=u)
+        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")
+        ids = first.take(bucket)
+        searched = np.flatnonzero(mixed.take(bucket))
+        ids[searched] = np.minimum(np.searchsorted(edges, u[searched], side="right"), last)
+        yield ids
+
+
+class ShotRecords:
+    """Record stream of one sampling run, redrawn from its seed on demand.
+
+    It keeps what the shots were drawn from, not the shots: the outcome
+    ``labels``, the category ``probabilities``, the ``seed`` and the shot
+    count ``n``.  ``chunks`` regenerates the outcome ids bit for bit, and
+    ``csv_chunks`` streams them as ``shot_index,outcome_label`` lines.
+    ``outcome_ids`` (and, for per-cycle records, ``absorbed_cycle``) hold
+    all ``n`` shots at once, so they cost memory in proportion to ``n``.
+
+    In per-cycle records the first ``n_cycles`` categories are absorption
+    in cycle 1, 2, ..., each recorded as ``absorbed``; the rest follow
+    ``labels``.  Otherwise categories and labels correspond one to one.
+    """
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        probabilities: np.ndarray,
+        seed: int,
+        n: int,
+        n_cycles: int = 0,
+    ) -> None:
+        self.labels = labels
+        self.probabilities = probabilities
+        self.seed = seed
+        self.n = n
+        self.n_cycles = n_cycles
+        # Outcome id of each category: a cycle's absorption is the last label.
+        self._outcome_of = np.concatenate([
+            np.full(n_cycles, len(labels) - 1, dtype=np.intp),
+            np.arange(len(probabilities) - n_cycles, dtype=np.intp)])
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _categories(self) -> Iterator[np.ndarray]:
+        generator = np.random.Generator(np.random.Philox(key=self.seed))
+        return _draws(self.probabilities, generator, self.n)
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """Outcome ids (indices into ``labels``) of consecutive chunks of shots."""
+        for categories in self._categories():
+            yield self._outcome_of.take(categories)
+
+    def tally(self) -> ClickCounts:
+        """Click counts of all ``n`` shots, folded chunk by chunk."""
+        per_category = np.zeros(len(self.probabilities), dtype=np.int64)
+        for categories in self._categories():
+            per_category += np.bincount(categories, minlength=len(per_category))
+        per_label = np.zeros(len(self.labels), dtype=np.int64)
+        np.add.at(per_label, self._outcome_of, per_category)
+        counts = {label: int(n) for label, n in zip(self.labels[:-1], per_label)}
+        return ClickCounts(counts, int(per_label[-1]), self.n)
+
+    @property
+    def outcome_ids(self) -> np.ndarray:
+        return np.concatenate(list(self.chunks()))
+
+    @property
+    def absorbed_cycle(self) -> np.ndarray | None:
+        """Cycle (from 1) in which each shot was absorbed, -1 if detected."""
+        if not self.n_cycles:
+            return None
+        return np.concatenate([
+            np.where(c < self.n_cycles, c + 1, -1) for c in self._categories()])
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text: the header line, then the lines of one chunk at a time."""
+        yield "shot_index,outcome_label\n"
+        # Bytes strings in a numpy array are NUL padded to the longest.
+        suffixes = np.array([f",{label}\n".encode() for label in self.labels])
+        table = suffixes.view(np.uint8).reshape(len(self.labels), -1)
+        start = 0
+        for ids in self.chunks():
+            yield _csv_lines(table, start, ids)
+            start += len(ids)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
+
+
+def _csv_lines(suffixes: np.ndarray, start: int, ids: np.ndarray) -> str:
+    """``k,label`` lines of shots ``start``, ``start + 1``, ... with outcome ``ids``.
+
+    Row i of a byte matrix spells line i: the digits of start + i, then
+    row ``ids[i]`` of ``suffixes`` (the encoded ``,label\\n``, NUL padded).
+    The columns in front of the leading digit are NUL too, so the nonzero
+    bytes in row order are the text of all lines in one piece.
+    """
+    k = np.arange(start, start + len(ids))
+    width = len(str(start + len(ids) - 1))
+    rows = np.zeros((len(ids), width + suffixes.shape[1]), dtype=np.uint8)
+    for col in reversed(range(width)):
+        digit = k % 10 + ord("0")
+        rows[:, col] = digit if col == width - 1 else np.where(k > 0, digit, 0)
+        k //= 10
+    rows[:, width:] = suffixes[ids]
+    return rows[rows != 0].tobytes().decode()
 
 
 def sample_distribution(
@@ -115,16 +209,8 @@ def sample_distribution(
     probs = np.array(
         [distribution.probabilities[k] for k in labels[:-1]] + [distribution.p_abs]
     )
-    ids = _categorical(probs, _uniforms(seed, n_shots))
-    records = ShotRecords(labels, ids, seed)
-    return _counts_from_ids(labels, ids, n_shots), records
-
-
-def _counts_from_ids(labels: tuple[str, ...], ids: np.ndarray, n_shots: int) -> ClickCounts:
-    tally = np.bincount(ids, minlength=len(labels))
-    counts = {label: int(tally[i]) for i, label in enumerate(labels) if label != ABSORBED}
-    absorbed = int(tally[labels.index(ABSORBED)]) if ABSORBED in labels else 0
-    return ClickCounts(counts, absorbed, n_shots)
+    records = ShotRecords(labels, probs, seed, n_shots)
+    return records.tally(), records
 
 
 def sample_shots(
@@ -153,14 +239,9 @@ def sample_shots(
     cycle_probs = [max(surv[k] - surv[k + 1], 0.0) for k in range(len(result.trace))]
     det_labels = tuple(dist.probabilities.keys())
     probs = np.array(cycle_probs + [dist.probabilities[k] for k in det_labels])
-    ids = _categorical(probs, _uniforms(seed, n_shots))
-
-    n_cycles = len(cycle_probs)
-    absorbed_cycle = np.where(ids < n_cycles, ids + 1, -1).astype(np.int64)
-    labels = det_labels + (ABSORBED,)
-    outcome_ids = np.where(ids < n_cycles, len(det_labels), ids - n_cycles).astype(np.int64)
-    records = ShotRecords(labels, outcome_ids, seed, absorbed_cycle=absorbed_cycle)
-    return _counts_from_ids(labels, outcome_ids, n_shots), records
+    records = ShotRecords(det_labels + (ABSORBED,), probs, seed, n_shots,
+                          n_cycles=len(cycle_probs))
+    return records.tally(), records
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +339,17 @@ def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> Reconst
 
     Each pixel is fit independently against the single-block closed form
     (the cycling evolution is block diagonal in the OAM value, so no joint
-    fit is needed).  Verdicts are the binary reading of the same counts;
-    pixels without any clicks are marked unknown and get no estimate.
+    fit is needed).  The folded scheme's counts are read with h and v
+    exchanged, as in ``reconstruct_pattern``.  Verdicts are the binary
+    reading of the same counts; pixels without any clicks are marked
+    unknown and get no estimate.
     Intervals are approximate 95 percent ranges from binomial error
     propagation through the fit sensitivity.
     """
-    if config.kind != "semitransparent-zeno":
-        raise ValueError(
-            f"transmission estimation is defined for semitransparent-zeno, got {config.kind!r}"
-        )
+    kind = config.kind
+    if kind in SINGLE_PIXEL_KINDS or kind not in core.ZENO_KINDS:
+        raise ValueError(f"{kind} has no per-pixel polarisation detectors to fit")
+    clicks = core.swap_hv_labels(counts.counts) if kind == "michelson-zeno" else counts.counts
     d = config.d
     n = counts.total
     theta = config.cycle_rotation
@@ -274,8 +357,8 @@ def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> Reconst
     t_hats: list[float | None] = []
     intervals: list[tuple[float, float] | None] = []
     for ell in range(d):
-        nh = counts.counts.get(core.pol_detector_label(ell, core.POL_H), 0)
-        nv = counts.counts.get(core.pol_detector_label(ell, core.POL_V), 0)
+        nh = clicks.get(core.pol_detector_label(ell, core.POL_H), 0)
+        nv = clicks.get(core.pol_detector_label(ell, core.POL_V), 0)
         if nh + nv == 0:
             verdicts.append(UNKNOWN)
             t_hats.append(None)

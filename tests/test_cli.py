@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +315,71 @@ class TestCmdShots:
         code = main(["shots", "--scheme", "ev-single-pass", "--d", "1",
                      "--pattern", "1", "--shots", "0"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("scheme", ["multipixel-zeno", "michelson-zeno"])
+    def test_semi_transparent_object_gets_transmission_estimates(self, capsys, scheme):
+        # T = 0.5 has no binary truth; it used to be read as transparent and
+        # compared with an h > v verdict of opaque, which exited 4.
+        code, report = run_json(capsys, [
+            "shots", "--scheme", scheme, "--d", "2", "--N", "20",
+            "--transmissions", "0.5,1", "--shots", "1000", "--seed", "1"])
+        assert code == EXIT_OK
+        assert report["pattern_match"] is None
+        estimates = report["reconstruction"]["transmission_estimates"]
+        intervals = report["reconstruction"]["intervals"]
+        assert len(estimates) == len(intervals) == 2
+        for t_hat, (lo, hi) in zip(estimates, intervals):
+            assert lo <= t_hat <= hi
+
+    def test_csv_streams_every_shot(self, capsys):
+        n = experiment.CHUNK + 3
+        args = ["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
+                "--pattern", "10", "--shots", str(n), "--seed", "6"]
+        assert main(args + ["--format", "csv"]) == EXIT_OK
+        text = capsys.readouterr().out
+        dist = cli.run_scheme(cli.RunConfig(scheme="multipixel-zeno", d=2, n_cycles=20,
+                                            pattern="10").scheme_config()).distribution
+        assert text == experiment.sample_distribution(dist, n, 6)[1].to_csv()
+        lines = text.splitlines()
+        assert len(lines) == n + 1
+        assert lines[-1].startswith(f"{n - 1},")
+
+    def test_unwritable_csv_out_fails_before_sampling(self, monkeypatch, tmp_path, capsys):
+        def sample_distribution(*args):
+            raise AssertionError("shots were drawn before --out was opened")
+
+        monkeypatch.setattr(experiment, "sample_distribution", sample_distribution)
+        code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
+                     "--pattern", "10", "--shots", "1000", "--format", "csv",
+                     "--out", str(tmp_path / "missing" / "clicks.csv")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "out: cannot write" in captured.err
+        assert captured.out == ""
+
+    def test_csv_memory_does_not_grow_with_shots(self, tmp_path):
+        # Peak RSS of a whole command in a fresh interpreter, which reports it.
+        code = (
+            "import resource, sys\n"
+            "from ifmsim.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def peak_mb(shots):
+            argv = ["shots", "--scheme", "multipixel-zeno", "--d", "8", "--N", "128",
+                    "--pattern", "10110010", "--shots", str(shots), "--seed", "2",
+                    "--format", "csv", "--out", str(tmp_path / "clicks.csv")]
+            proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return float(proc.stdout)
+
+        small, large = peak_mb(100_000), peak_mb(4_000_000)
+        assert large < 100.0
+        assert large - small < 10.0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -4,14 +4,16 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifmsim import analytics, experiment
+from ifmsim import analytics, core, experiment
 from ifmsim.core import DetectionDistribution, PixelPattern
 from ifmsim.experiment import (
+    CHUNK,
     ClickCounts,
     estimate_transmissions,
     reconstruct_pattern,
@@ -29,13 +31,50 @@ def counts_from(config, mapping, total=None):
     return ClickCounts(counts, absorbed, n)
 
 
+def reference_ids(probabilities, seed, n):
+    """Category ids by the unchunked sampler: one draw of ``n`` uniforms, each searched."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    edges = np.cumsum(probabilities)
+    return np.minimum(np.searchsorted(edges, u, side="right"), len(probabilities) - 1)
+
+
+def reference_csv(labels, ids):
+    lines = ["shot_index,outcome_label"]
+    lines.extend(f"{k},{labels[oid]}" for k, oid in enumerate(ids))
+    return "\n".join(lines) + "\n"
+
+
+def distribution_of(probabilities):
+    """Detection distribution over D0, D1, ... with the last entry as p_abs."""
+    labels = [f"D{i}" for i in range(len(probabilities) - 1)]
+    return DetectionDistribution(dict(zip(labels, probabilities[:-1])), probabilities[-1])
+
+
+def _dirichlet_with_gaps():
+    p = np.random.default_rng(5).dirichlet(np.ones(17))
+    p[[2, 3, 11]] = 0.0
+    return list(p / p.sum())
+
+
+# Distributions that stress the guide table: zero bins around a certain
+# outcome, bins far narrower than a bucket, cumulative sums that end just
+# below and just above 1, and a random one with empty bins.
+ADVERSARIAL = {
+    "certain-among-zero-bins": [0.0, 0.0, 1.0, 0.0, 0.0],
+    "1e-9-bins": [1e-9, 0.25, 1e-9, 1e-9, 0.75 - 3e-9, 0.0],
+    "sum-just-below-1": [0.7, 0.2, 0.1],
+    "sum-just-above-1": [0.34, 0.56, 0.1],
+    "dirichlet-with-zero-bins": _dirichlet_with_gaps(),
+}
+
+
 class TestSampling:
     def test_certain_outcome_always_sampled(self):
         dist = DetectionDistribution({"D0": 1.0, "D1": 0.0}, 0.0)
         counts, records = sample_distribution(dist, 500, seed=1)
         assert counts.counts == {"D0": 500, "D1": 0}
         assert counts.absorbed == 0
-        assert all(rec.outcome == "D0" for rec in records)
+        assert all(records.labels[i] == "D0" for i in records.outcome_ids)
 
     def test_ev_frequencies_within_sampling_error(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
@@ -114,6 +153,78 @@ class TestSampling:
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("0"))
         with pytest.raises(ValueError):
             sample_shots(cfg, 0, seed=0)
+
+
+class TestChunkedSampler:
+    """The chunked guide-table sampler against the unchunked full search."""
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_counts_and_csv_match_full_search(self, name, n):
+        probabilities = ADVERSARIAL[name]
+        counts, records = sample_distribution(distribution_of(probabilities), n, seed=17)
+        ids = reference_ids(probabilities, 17, n)
+        tally = np.bincount(ids, minlength=len(probabilities))
+        assert [counts.counts[label] for label in records.labels[:-1]] == list(tally[:-1])
+        assert counts.absorbed == tally[-1]
+        assert np.array_equal(records.outcome_ids, ids)
+        assert records.to_csv() == reference_csv(records.labels, ids)
+
+    def test_sum_below_1_caps_at_the_last_category(self):
+        # A quarter of the uniforms lie beyond every cumulative probability.
+        probabilities = np.array([0.25, 0.25, 0.25])
+        generator = np.random.Generator(np.random.Philox(key=3))
+        ids = np.concatenate(list(experiment._draws(probabilities, generator, CHUNK + 1)))
+        assert np.array_equal(ids, reference_ids(probabilities, 3, CHUNK + 1))
+
+    def test_per_cycle_with_more_categories_than_buckets(self):
+        # N = 5000 cycles give N + 2d + 1 = 5005 categories, more than the
+        # 4096 guide buckets, so many buckets are searched.
+        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 5000)
+        n = CHUNK + 1
+        counts, records = sample_shots(cfg, n, seed=23, per_cycle=True)
+        assert len(records.probabilities) > experiment.GUIDE_BUCKETS
+        raw = reference_ids(records.probabilities, 23, n)
+        n_cycles, n_det = 5000, len(records.labels) - 1
+        expected = np.where(raw < n_cycles, n_det, raw - n_cycles)
+        assert np.array_equal(records.absorbed_cycle, np.where(raw < n_cycles, raw + 1, -1))
+        assert np.array_equal(records.outcome_ids, expected)
+        assert counts.absorbed == int(np.sum(raw < n_cycles))
+        assert records.to_csv() == reference_csv(records.labels, expected)
+
+    def test_shot_k_depends_only_on_seed_and_k(self):
+        # Philox yields four doubles per counter step, so advancing the
+        # counter by k skips 4k shots: a batch drawn from there is the tail
+        # of one draw, and the tallies of the two batches add up to its tally.
+        probabilities = ADVERSARIAL["dirichlet-with-zero-bins"]
+        n, k = 3 * CHUNK + 7, 12_345
+        full = reference_ids(probabilities, 9, n)
+        generator = np.random.Generator(np.random.Philox(key=9))
+        generator.bit_generator.advance(k)
+        tail = np.concatenate(list(experiment._draws(np.array(probabilities), generator, n - 4 * k)))
+        assert np.array_equal(tail, full[4 * k:])
+
+        dist = distribution_of(probabilities)
+        head_counts, records = sample_distribution(dist, 4 * k, seed=9)
+        tail_tally = np.bincount(tail, minlength=len(probabilities))
+        tail_counts = ClickCounts(dict(zip(records.labels[:-1], map(int, tail_tally[:-1]))),
+                                  int(tail_tally[-1]), n - 4 * k)
+        assert head_counts + tail_counts == sample_distribution(dist, n, seed=9)[0]
+
+    def test_memory_does_not_grow_with_shots(self):
+        dist = distribution_of(ADVERSARIAL["dirichlet-with-zero-bins"])
+
+        def peak_mb(n):
+            tracemalloc.start()
+            try:
+                sample_distribution(dist, n, seed=1)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mb(100_000), peak_mb(4_000_000)
+        assert large < 10.0
+        assert abs(large - small) < 1.0
 
 
 class TestReconstruction:
@@ -230,10 +341,23 @@ class TestTransmissionEstimation:
         assert covered >= 14
 
     def test_rejects_other_kinds(self):
-        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 10)
-        counts = counts_from(cfg, {"D0_h": 1}, total=1)
-        with pytest.raises(ValueError):
-            estimate_transmissions(counts, cfg)
+        # Kinds without per-pixel h/v detectors have nothing to fit.
+        for kind, bits in (("multipixel-single-pass", "10"), ("zeno-single-pixel", "1")):
+            cfg = SchemeConfig(kind, PixelPattern.from_bits(bits), 10)
+            counts = counts_from(cfg, {"D0_h": 1}, total=1)
+            with pytest.raises(ValueError):
+                estimate_transmissions(counts, cfg)
+
+    def test_every_multipixel_cycling_kind_is_fit(self):
+        # The folded scheme reads h and v exchanged; after the exchange its
+        # counts fit exactly as the unfolded scheme's do.
+        pattern = PixelPattern((0.5, 1.0))
+        counts = ClickCounts({"D0_h": 260, "D0_v": 12, "D1_h": 0, "D1_v": 500}, 228, 1000)
+        swapped = ClickCounts(core.swap_hv_labels(counts.counts), 228, 1000)
+        semi = estimate_transmissions(counts, SchemeConfig("semitransparent-zeno", pattern, 20))
+        assert estimate_transmissions(counts, SchemeConfig("multipixel-zeno", pattern, 20)) == semi
+        folded = estimate_transmissions(swapped, SchemeConfig("michelson-zeno", pattern, 20))
+        assert folded == semi
 
     @pytest.mark.parametrize("n_cycles", [2, 16, 128])
     def test_noiseless_fractions_invert_exactly(self, n_cycles):
