@@ -480,14 +480,16 @@ def cmd_shots(cfg: RunConfig) -> int:
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution
-    with _output(cfg.out) as stream:
-        counts, records = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+    if (cfg.format or "json") == "json":
+        counts, _ = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
         report = _shots_report(cfg, scheme_config, dist, counts)
-        if (cfg.format or "json") == "json":
-            stream.write(_json_report(report))
-        else:
-            for text in records.csv_chunks():
-                stream.write(text)
+        _emit(_json_report(report), cfg.out)
+    else:
+        # The CSV is streamed, so --out is opened before any shot is drawn.
+        with _output(cfg.out) as stream:
+            counts, records = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+            report = _shots_report(cfg, scheme_config, dist, counts)
+            stream.writelines(records.csv_chunks())
     return EXIT_MISMATCH if report["pattern_match"] is False else EXIT_OK
 
 
@@ -498,10 +500,9 @@ def _shots_report(cfg: RunConfig, scheme_config: SchemeConfig, dist: DetectionDi
     reconstruction = None
     pattern_match: bool | None = None
     kind = scheme_config.kind
-    multipixel_cycling = kind in ZENO_KINDS and kind not in SINGLE_PIXEL_KINDS
     # A semi-transparent object has no binary truth to match, so any
-    # multi-pixel cycling kind fits its transmissions instead.
-    if multipixel_cycling and (
+    # kind with per-pixel h/v detectors fits its transmissions instead.
+    if experiment.fits_transmissions(kind) and (
             kind == "semitransparent-zeno" or not scheme_config.pattern.is_binary):
         image = experiment.estimate_transmissions(counts, scheme_config)
         reconstruction = {

@@ -168,35 +168,14 @@ class ShotRecords:
     def csv_chunks(self) -> Iterator[str]:
         """The CSV text: the header line, then the lines of one chunk at a time."""
         yield "shot_index,outcome_label\n"
-        # Bytes strings in a numpy array are NUL padded to the longest.
-        suffixes = np.array([f",{label}\n".encode() for label in self.labels])
-        table = suffixes.view(np.uint8).reshape(len(self.labels), -1)
         start = 0
         for ids in self.chunks():
-            yield _csv_lines(table, start, ids)
+            yield "".join([f"{k},{self.labels[i]}\n"
+                           for k, i in zip(range(start, start + len(ids)), ids.tolist())])
             start += len(ids)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
-
-
-def _csv_lines(suffixes: np.ndarray, start: int, ids: np.ndarray) -> str:
-    """``k,label`` lines of shots ``start``, ``start + 1``, ... with outcome ``ids``.
-
-    Row i of a byte matrix spells line i: the digits of start + i, then
-    row ``ids[i]`` of ``suffixes`` (the encoded ``,label\\n``, NUL padded).
-    The columns in front of the leading digit are NUL too, so the nonzero
-    bytes in row order are the text of all lines in one piece.
-    """
-    k = np.arange(start, start + len(ids))
-    width = len(str(start + len(ids) - 1))
-    rows = np.zeros((len(ids), width + suffixes.shape[1]), dtype=np.uint8)
-    for col in reversed(range(width)):
-        digit = k % 10 + ord("0")
-        rows[:, col] = digit if col == width - 1 else np.where(k > 0, digit, 0)
-        k //= 10
-    rows[:, width:] = suffixes[ids]
-    return rows[rows != 0].tobytes().decode()
 
 
 def sample_distribution(
@@ -334,6 +313,11 @@ def _fit_single_transmission(
     return t_hat, sensitivity
 
 
+def fits_transmissions(kind: str) -> bool:
+    """Whether ``kind`` has per-pixel h/v detectors to fit transmissions to."""
+    return kind in core.ZENO_KINDS and kind not in SINGLE_PIXEL_KINDS
+
+
 def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> ReconstructedImage:
     """Per-pixel transmission estimates from click counts.
 
@@ -347,7 +331,7 @@ def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> Reconst
     propagation through the fit sensitivity.
     """
     kind = config.kind
-    if kind in SINGLE_PIXEL_KINDS or kind not in core.ZENO_KINDS:
+    if not fits_transmissions(kind):
         raise ValueError(f"{kind} has no per-pixel polarisation detectors to fit")
     clicks = core.swap_hv_labels(counts.counts) if kind == "michelson-zeno" else counts.counts
     d = config.d

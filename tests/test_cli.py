@@ -311,6 +311,16 @@ class TestCmdShots:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    def test_failed_json_report_leaves_out_file_as_it_was(self, monkeypatch, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        monkeypatch.setattr(experiment, "statistical_check",
+                            lambda counts, dist: experiment.StatCheck({"D0_h": float("nan")}, ()))
+        code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
+                     "--pattern", "10", "--shots", "1000", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert out.read_text() == "earlier report\n"
+
     def test_zero_shots_rejected(self, capsys):
         code = main(["shots", "--scheme", "ev-single-pass", "--d", "1",
                      "--pattern", "1", "--shots", "0"])
@@ -328,8 +338,9 @@ class TestCmdShots:
         estimates = report["reconstruction"]["transmission_estimates"]
         intervals = report["reconstruction"]["intervals"]
         assert len(estimates) == len(intervals) == 2
-        for t_hat, (lo, hi) in zip(estimates, intervals):
-            assert lo <= t_hat <= hi
+        # A wrong h/v reading or rotation angle would miss the true values.
+        for true_t, (lo, hi) in zip((0.5, 1.0), intervals):
+            assert lo <= true_t <= hi
 
     def test_csv_streams_every_shot(self, capsys):
         n = experiment.CHUNK + 3
