@@ -9,7 +9,6 @@ through many weak cycles, and read out from which detector clicks.
 from ifmsim.core import (
     POL_H,
     POL_V,
-    SCHEME_KINDS,
     DetectionDistribution,
     DetectorMap,
     ElementOp,

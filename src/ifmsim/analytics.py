@@ -25,7 +25,7 @@ import numpy as np
 
 from ifmsim import core
 from ifmsim.core import POL_H, POL_V, PixelPattern
-from ifmsim.schemes import SchemeConfig, multipixel_kind
+from ifmsim.schemes import SchemeConfig
 
 
 @dataclass(frozen=True)
@@ -203,34 +203,23 @@ def semitransparent_asymptotic(
     return AnalyticReport(None, asym, p_abs)
 
 
-def _as_kind(probs: dict[str, float], kind: str) -> dict[str, float]:
-    """Multi-pixel report ``probs`` under the detector labels of ``kind``.
-
-    The folded scheme's switch-out reverses h and v; a single-pixel kind
-    renames its d = 1 labels.
-    """
-    if kind == "michelson-zeno":
-        return core.swap_hv_labels(probs)
-    _, names = multipixel_kind(kind)
-    return {names.get(label, label): p for label, p in probs.items()}
-
-
 def exact_distribution(config: SchemeConfig) -> AnalyticReport:
     """Exact closed-form report for any scheme configuration.
 
     Single-pass kinds require opaque/transparent patterns.  The cycling
     schemes use the block closed form with the per-cycle rotation; the
-    folded scheme's h and v labels are then exchanged, and a single-pixel
-    kind reads its multi-pixel kind's d = 1 report under its own labels.
+    report is then read under the kind's labels (``Kind.relabel``: the
+    folded scheme exchanges h and v, a single-pixel kind renames its d = 1
+    labels).
     """
-    if config.kind in core.SINGLE_PASS_KINDS:
+    if config.spec.single_pass:
         report = multipixel_single_pass_table(config.d, config.pattern)
     else:
         report = semitransparent_exact(
             config.d, config.n_cycles, config.cycle_rotation, config.pattern.transmissions
         )
     assert report.exact is not None
-    return AnalyticReport(_as_kind(report.exact, config.kind), None, report.p_abs,
+    return AnalyticReport(config.spec.relabel(report.exact), None, report.p_abs,
                           report.efficiency)
 
 
@@ -240,9 +229,9 @@ def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
     Fully transparent pixels take their exact limit values (p_v = 1/d)
     instead of the poled expansion.
     """
-    if config.kind not in core.ZENO_KINDS:
+    if config.spec.single_pass:
         return None
     asym, p_abs = _asymptotic_probabilities(
         config.d, config.n_cycles, config.pattern.transmissions
     )
-    return AnalyticReport(None, _as_kind(asym, config.kind), p_abs)
+    return AnalyticReport(None, config.spec.relabel(asym), p_abs)

@@ -28,8 +28,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator, NamedTuple, TextIO
 
 from ifmsim import analytics, experiment, verify
-from ifmsim.core import SCHEME_KINDS, ZENO_KINDS, DetectionDistribution, PixelPattern
-from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig, run_scheme
+from ifmsim.core import DetectionDistribution, PixelPattern
+from ifmsim.schemes import KINDS, SchemeConfig, run_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -91,7 +91,7 @@ class Field(NamedTuple):
 # Every field of RunConfig, in flag order.  The config-file aliases
 # ``sweep_N``/``sweep_T`` are the keys with ``-`` written as ``_``.
 FIELDS = (
-    Field("scheme", "scheme", choices=tuple(sorted(SCHEME_KINDS))),
+    Field("scheme", "scheme", choices=tuple(sorted(KINDS))),
     Field("d", "d", int, help="pixel count"),
     Field("N", "n_cycles", int, help="cycle count"),
     Field("pattern", "pattern", help="occupancy bits, e.g. 1010 (1 = opaque)"),
@@ -395,33 +395,22 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if (cfg.sweep_n is None) == (cfg.sweep_t is None):
         raise UsageError("sweep needs exactly one of sweep-N or sweep-T")
-    if cfg.scheme not in ZENO_KINDS:
-        raise UsageError("sweep is defined for the cycling schemes")
-
-    points: list[SchemeConfig] = []
-    values: list[float] = []
-    axis = "N" if cfg.sweep_n is not None else "T"
-    if cfg.sweep_n is not None:
-        if len(cfg.sweep_n) == 0:
-            raise UsageError("sweep-N: empty sweep axis")
-        base_pattern = cfg.pixel_pattern()
-        for n in cfg.sweep_n:
-            if n < 1:
-                raise UsageError(f"sweep-N: cycle count must be >= 1, got {n}")
-            points.append(cfg.scheme_config(n_cycles=n, pattern=base_pattern))
-            values.append(float(n))
+    axis, values = ("N", cfg.sweep_n) if cfg.sweep_n is not None else ("T", cfg.sweep_t)
+    if len(values) == 0:
+        raise UsageError(f"sweep-{axis}: empty sweep axis")
+    if axis == "N":
+        pattern = cfg.pixel_pattern()
+        points = [cfg.scheme_config(n_cycles=n, pattern=pattern) for n in values]
     else:
-        assert cfg.sweep_t is not None
-        if len(cfg.sweep_t) == 0:
-            raise UsageError("sweep-T: empty sweep axis")
         if cfg.d is None:
             raise UsageError("missing field: d")
-        for t in cfg.sweep_t:
-            if not (0.0 <= t <= 1.0):
-                raise UsageError(f"sweep-T: transmission {t} outside [0, 1]")
-            pattern = PixelPattern((t,) * cfg.d)
-            points.append(cfg.scheme_config(pattern=pattern))
-            values.append(float(t))
+        try:
+            patterns = [PixelPattern((t,) * cfg.d) for t in values]
+        except ValueError as exc:
+            raise UsageError(f"sweep-T over d={cfg.d}: {exc}") from exc
+        points = [cfg.scheme_config(pattern=pattern) for pattern in patterns]
+    if points[0].spec.single_pass:
+        raise UsageError("sweep is defined for the cycling schemes")
 
     rows = []
     for index, (value, point) in enumerate(zip(values, points)):
@@ -430,23 +419,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         row: dict = {
             "index": index,
             "axis": axis,
-            "value": value,
+            "value": float(value),
             "scheme": point.kind,
             "d": point.d,
             "N": point.n_cycles,
             "theta": point.effective_theta,
         }
-        assert exact.exact is not None
+        assert exact.exact is not None and asym is not None and asym.asymptotic is not None
         for label, p in exact.exact.items():
             row[f"exact_{label}"] = p
         row["exact_p_abs"] = exact.p_abs
-        if asym is not None and asym.asymptotic is not None:
-            for label, p in asym.asymptotic.items():
-                row[f"asym_{label}"] = p
-            row["asym_p_abs"] = asym.p_abs
-            for label, p in asym.asymptotic.items():
-                row[f"gap_{label}"] = abs(exact.exact[label] - p)
-            row["gap_p_abs"] = abs(exact.p_abs - asym.p_abs)
+        for label, p in asym.asymptotic.items():
+            row[f"asym_{label}"] = p
+        row["asym_p_abs"] = asym.p_abs
+        for label, p in asym.asymptotic.items():
+            row[f"gap_{label}"] = abs(exact.exact[label] - p)
+        row["gap_p_abs"] = abs(exact.p_abs - asym.p_abs)
         rows.append(row)
 
     if (cfg.format or "json") == "json":
@@ -495,29 +483,33 @@ def cmd_shots(cfg: RunConfig) -> int:
 
 def _shots_report(cfg: RunConfig, scheme_config: SchemeConfig, dist: DetectionDistribution,
                   counts: experiment.ClickCounts) -> dict:
+    """The ``shots`` report; the object, not the kind name, decides the reconstruction.
+
+    A kind with one detector group per pixel reconstructs.  A binary object
+    gets per-pixel verdicts and ``pattern_match`` against its bits.  An
+    object with a transmission other than 0 or 1 has no binary truth, so
+    ``pattern_match`` is null: on a kind with per-pixel h and v detectors
+    its transmissions are fit, on the single-pass kind it gets verdicts.
+    Single-pixel kinds get no reconstruction.
+    """
     stat = experiment.statistical_check(counts, dist) if cfg.shots >= 100 else None
 
     reconstruction = None
     pattern_match: bool | None = None
-    kind = scheme_config.kind
-    # A semi-transparent object has no binary truth to match, so any
-    # kind with per-pixel h/v detectors fits its transmissions instead.
-    if experiment.fits_transmissions(kind) and (
-            kind == "semitransparent-zeno" or not scheme_config.pattern.is_binary):
+    spec, pattern = scheme_config.spec, scheme_config.pattern
+    if spec.per_pixel_hv and not pattern.is_binary:
         image = experiment.estimate_transmissions(counts, scheme_config)
         reconstruction = {
             "verdicts": list(image.verdicts),
             "transmission_estimates": list(image.transmission or ()),
             "intervals": [list(i) if i else None for i in (image.intervals or ())],
         }
-    elif kind not in SINGLE_PIXEL_KINDS:
+    elif spec.per_pixel:
         image = experiment.reconstruct_pattern(counts, scheme_config)
         reconstruction = {"verdicts": list(image.verdicts)}
-        truth = [
-            experiment.OPAQUE if f else experiment.TRANSPARENT
-            for f in scheme_config.pattern.f
-        ]
-        pattern_match = list(image.verdicts) == truth
+        if pattern.is_binary:
+            truth = [experiment.OPAQUE if f else experiment.TRANSPARENT for f in pattern.f]
+            pattern_match = list(image.verdicts) == truth
 
     return {
         "config": cfg.to_dict(),

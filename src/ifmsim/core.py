@@ -31,33 +31,10 @@ POL_H = 0
 POL_V = 1
 POL_NAMES = ("h", "v")
 
-ZENO_KINDS = frozenset({
-    "zeno-single-pixel",
-    "multipixel-zeno",
-    "michelson-zeno",
-    "semitransparent-zeno",
-})
-SINGLE_PASS_KINDS = frozenset({"ev-single-pass", "multipixel-single-pass"})
-SCHEME_KINDS = ZENO_KINDS | SINGLE_PASS_KINDS
-
 
 def pol_detector_label(ell: int, pol: int) -> str:
     """Label of the polarisation-resolved detector for OAM value ``ell``."""
     return f"D{ell}_{POL_NAMES[pol]}"
-
-
-def swap_hv_labels(probs: Mapping[str, float]) -> dict[str, float]:
-    """``probs`` with the h and v detector labels of every OAM value exchanged.
-
-    The folded scheme's switch-out flips the polarisation, so its D{ell}_h
-    reads what the cycling scheme's D{ell}_v reads.  Other labels pass
-    through unchanged.
-    """
-    swap = {"_h": "_v", "_v": "_h"}
-    return {
-        (label[:-2] + swap[label[-2:]] if label[-2:] in swap else label): p
-        for label, p in probs.items()
-    }
 
 
 def port_detector_label(port: str, ell: int) -> str:
@@ -133,17 +110,16 @@ def basis_state(d: int, pol: int, ell: int, mode: int) -> PhotonState:
     return PhotonState(d, amps)
 
 
-def make_initial_state(d: int, scheme_kind: str) -> PhotonState:
-    """Input photon for a scheme: H-polarised, equal OAM superposition.
+def make_initial_state(d: int, mode: int) -> PhotonState:
+    """Input photon on spatial mode ``mode``: H-polarised, equal OAM superposition.
 
-    The photon enters on spatial mode 0 for the single-pass interferometers
-    and on the reference mode d for the cycling (Zeno) schemes.
+    The single-pass interferometers take it on mode 0, the cycling (Zeno)
+    schemes on the reference mode d.
     """
     if d < 1:
         raise ValueError(f"pixel count must be >= 1, got d={d}")
-    if scheme_kind not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme kind {scheme_kind!r}")
-    mode = 0 if scheme_kind in SINGLE_PASS_KINDS else d
+    if not 0 <= mode <= d:
+        raise ValueError(f"entry mode {mode} outside 0..{d}")
     amps = np.zeros((2, d, d + 1), dtype=np.complex128)
     amps[POL_H, :, mode] = 1.0 / np.sqrt(d)
     return PhotonState(d, amps)
@@ -419,21 +395,21 @@ def pockels_flip(d: int) -> ElementOp:
     return permutation_op(d, site_map, "P")
 
 
-def mirror_reflect(kind: str, d: int) -> ElementOp:
+def mirror_reflect(mirror: str, d: int) -> ElementOp:
     """Mirror acting on the OAM index.
 
     A retro-reflector gives a double reflection and leaves |ell> unchanged;
     a plain mirror maps |ell> to |-ell mod d>.
     """
-    if kind == "retro":
+    if mirror == "retro":
         def site_map(pol, ell, mode):
             return pol, ell, mode
         return permutation_op(d, site_map, "RR")
-    if kind == "plain":
+    if mirror == "plain":
         def site_map(pol, ell, mode):
             return pol, (d - ell) % d, mode
         return permutation_op(d, site_map, "M")
-    raise ValueError(f"unknown mirror kind {kind!r}")
+    raise ValueError(f"unknown mirror kind {mirror!r}")
 
 
 def arm_mirrors(d: int) -> ElementOp:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ifmsim import analytics, core, schemes
 from ifmsim.core import DetectionDistribution
-from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig
+from ifmsim.schemes import SchemeConfig
 
 ABSORBED = "absorbed"
 
@@ -240,41 +240,36 @@ class ReconstructedImage:
         return len(self.verdicts)
 
 
+def _hv_clicks(counts: ClickCounts, config: SchemeConfig) -> list[tuple[int, int]]:
+    """(h, v) clicks of each pixel, the folded scheme's read back through
+    ``Kind.relabel`` (its switch-out flips the polarisations)."""
+    clicks = config.spec.relabel(counts.counts)
+    return [(clicks.get(core.pol_detector_label(ell, core.POL_H), 0),
+             clicks.get(core.pol_detector_label(ell, core.POL_V), 0)) for ell in range(config.d)]
+
+
+def _hv_verdict(nh: int, nv: int) -> str:
+    return OPAQUE if nh > nv else TRANSPARENT if nv > nh else UNKNOWN
+
+
 def reconstruct_pattern(counts: ClickCounts, config: SchemeConfig) -> ReconstructedImage:
     """Binary image from click counts.
 
     Cycling scheme: pixel ell reads opaque when its h detector out-clicked
-    its v detector (reversed for the folded scheme, whose switch-out flips
-    the polarisations).  Single-pass: any dark-port click marks the pixel
-    opaque.  Ties, including the zero-click case, stay unknown.
+    its v detector (reversed for the folded scheme).  Single-pass: any
+    dark-port click marks the pixel opaque.  Ties, including the zero-click
+    case, stay unknown.
     """
-    kind = config.kind
-    if kind in SINGLE_PIXEL_KINDS:
-        raise ValueError(f"{kind} has no per-pixel detectors to reconstruct from")
-    d = config.d
-    verdicts: list[str] = []
-    if kind == "multipixel-single-pass":
-        for ell in range(d):
-            dark = counts.counts.get(core.port_detector_label("d", ell), 0)
-            bright = counts.counts.get(core.port_detector_label("0", ell), 0)
-            if dark > 0:
-                verdicts.append(OPAQUE)
-            elif bright > 0:
-                verdicts.append(TRANSPARENT)
-            else:
-                verdicts.append(UNKNOWN)
-        return ReconstructedImage(tuple(verdicts))
-
-    clicks = core.swap_hv_labels(counts.counts) if kind == "michelson-zeno" else counts.counts
-    for ell in range(d):
-        nh = clicks.get(core.pol_detector_label(ell, core.POL_H), 0)
-        nv = clicks.get(core.pol_detector_label(ell, core.POL_V), 0)
-        if nh > nv:
-            verdicts.append(OPAQUE)
-        elif nv > nh:
-            verdicts.append(TRANSPARENT)
-        else:
-            verdicts.append(UNKNOWN)
+    spec = config.spec
+    if not spec.per_pixel:
+        raise ValueError(f"{config.kind} has no per-pixel detectors to reconstruct from")
+    if not spec.single_pass:
+        return ReconstructedImage(tuple(_hv_verdict(*hv) for hv in _hv_clicks(counts, config)))
+    verdicts = []
+    for ell in range(config.d):
+        dark = counts.counts.get(core.port_detector_label("d", ell), 0)
+        bright = counts.counts.get(core.port_detector_label("0", ell), 0)
+        verdicts.append(OPAQUE if dark > 0 else TRANSPARENT if bright > 0 else UNKNOWN)
     return ReconstructedImage(tuple(verdicts))
 
 
@@ -313,42 +308,31 @@ def _fit_single_transmission(
     return t_hat, sensitivity
 
 
-def fits_transmissions(kind: str) -> bool:
-    """Whether ``kind`` has per-pixel h/v detectors to fit transmissions to."""
-    return kind in core.ZENO_KINDS and kind not in SINGLE_PIXEL_KINDS
-
-
 def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> ReconstructedImage:
     """Per-pixel transmission estimates from click counts.
 
     Each pixel is fit independently against the single-block closed form
     (the cycling evolution is block diagonal in the OAM value, so no joint
     fit is needed).  The folded scheme's counts are read with h and v
-    exchanged, as in ``reconstruct_pattern``.  Verdicts are the binary
-    reading of the same counts; pixels without any clicks are marked
-    unknown and get no estimate.
-    Intervals are approximate 95 percent ranges from binomial error
-    propagation through the fit sensitivity.
+    exchanged, as in ``reconstruct_pattern``; kinds without per-pixel h and
+    v detectors are rejected.  Verdicts are the binary reading of the same
+    counts; pixels without any clicks are marked unknown and get no
+    estimate.  Intervals are approximate 95 percent ranges from binomial
+    error propagation through the fit sensitivity.
     """
-    kind = config.kind
-    if not fits_transmissions(kind):
-        raise ValueError(f"{kind} has no per-pixel polarisation detectors to fit")
-    clicks = core.swap_hv_labels(counts.counts) if kind == "michelson-zeno" else counts.counts
+    if not config.spec.per_pixel_hv:
+        raise ValueError(f"{config.kind} has no per-pixel polarisation detectors to fit")
+    hv = _hv_clicks(counts, config)
     d = config.d
     n = counts.total
     theta = config.cycle_rotation
-    verdicts: list[str] = []
     t_hats: list[float | None] = []
     intervals: list[tuple[float, float] | None] = []
-    for ell in range(d):
-        nh = clicks.get(core.pol_detector_label(ell, core.POL_H), 0)
-        nv = clicks.get(core.pol_detector_label(ell, core.POL_V), 0)
+    for nh, nv in hv:
         if nh + nv == 0:
-            verdicts.append(UNKNOWN)
             t_hats.append(None)
             intervals.append(None)
             continue
-        verdicts.append(OPAQUE if nh > nv else TRANSPARENT if nv > nh else UNKNOWN)
         fh = d * nh / n
         fv = d * nv / n
         t_hat, j = _fit_single_transmission(fh, fv, theta, config.n_cycles)
@@ -362,7 +346,8 @@ def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> Reconst
         half = 1.96 * float(np.sqrt(var_t))
         t_hats.append(t_hat)
         intervals.append((max(0.0, t_hat - half), min(1.0, t_hat + half)))
-    return ReconstructedImage(tuple(verdicts), tuple(t_hats), tuple(intervals))
+    verdicts = tuple(_hv_verdict(nh, nv) for nh, nv in hv)
+    return ReconstructedImage(verdicts, tuple(t_hats), tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Assembly and execution of the interaction-free imaging schemes.
 
-Each scheme is an ordered list of optical elements plus a detector map:
+Each scheme is an ordered list of optical elements plus a detector map.
+``KINDS`` is the one table of what a scheme kind means: its layout and the
+renaming of its detector labels.
 
 * ``multipixel-single-pass``- OAM-encoded balanced two-arm interferometer.
 * ``multipixel-zeno``       - OAM-encoded cycling scheme.
 * ``michelson-zeno``        - folded cycling scheme, half rotation per pass,
                               Pockels switch-out (detector meaning reversed).
-* ``semitransparent-zeno``  - the cycling scheme with arbitrary per-pixel
-                              transmissions.
+* ``semitransparent-zeno``  - an alias of ``multipixel-zeno``: the same
+                              scheme, whatever the object's transmissions.
 
 The single-pixel kinds ``ev-single-pass`` and ``zeno-single-pixel`` are
-the first two at d = 1, read under their own detector labels.
+the first two at d = 1, read under their own detector labels.  The object,
+not the kind, decides what a run can be reconstructed into.
 
 ``run_scheme`` composes each scheme's cycle into one gather-form element,
 applies it once per cycle (O(D) work each) while recording the survival
@@ -20,8 +23,8 @@ runs through this one path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,8 +32,6 @@ from ifmsim import core
 from ifmsim.core import (
     POL_H,
     POL_V,
-    SCHEME_KINDS,
-    ZENO_KINDS,
     DetectionDistribution,
     DetectorMap,
     ElementOp,
@@ -49,25 +50,78 @@ from ifmsim.core import (
 # largest ratio was 0.83, and 0.75 in cycling runs (at cycle 1).
 ROUNDING_ULPS_PER_APPLICATION = 2.0
 
-# Each single-pixel kind runs as its multi-pixel kind at d = 1; the d = 1
-# detector labels are renamed to the single-pixel ones.
-SINGLE_PIXEL_KINDS: dict[str, tuple[str, dict[str, str]]] = {
-    "ev-single-pass": ("multipixel-single-pass", {"D0_0": "D0", "Dd_0": "D1"}),
-    "zeno-single-pixel": ("multipixel-zeno", {"D0_h": "Dh", "D0_v": "Dv"}),
+# Layouts of a scheme: one pass through a balanced interferometer, N weak
+# cycles, or N cycles folded into a Michelson arm.
+SINGLE_PASS = "single-pass"
+CYCLING = "cycling"
+FOLDED = "folded"
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A row of the kind table: the layout and the single-pixel label renaming.
+
+    The folded layout crosses the rotator twice per cycle, and its Pockels
+    switch-out exchanges h and v at readout.  ``names`` renames the d = 1
+    detector labels of a single-pixel kind; it is empty for the multi-pixel
+    kinds.
+    """
+
+    layout: str
+    names: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def single_pass(self) -> bool:
+        return self.layout == SINGLE_PASS
+
+    @property
+    def per_pixel(self) -> bool:
+        """Whether each pixel has its own detectors (the multi-pixel kinds)."""
+        return not self.names
+
+    @property
+    def per_pixel_hv(self) -> bool:
+        """Whether each pixel has its own h and v detectors."""
+        return self.per_pixel and not self.single_pass
+
+    def relabel(self, probs: Mapping[str, float]) -> dict[str, float]:
+        """``probs``, given under the unfolded multi-pixel labels, under this kind's.
+
+        The folded layout exchanges the h and v labels of every OAM value
+        (its D{ell}_h reads what the unfolded D{ell}_v reads); a single-pixel
+        kind renames its d = 1 labels.  The exchange is its own inverse, so
+        on a multi-pixel kind this also reads the kind's clicks back under
+        the unfolded labels.
+        """
+        swap = {"_h": "_v", "_v": "_h"} if self.layout == FOLDED else {}
+
+        def label(old: str) -> str:
+            new = old[:-2] + swap[old[-2:]] if old[-2:] in swap else old
+            return self.names.get(new, new)
+
+        return {label(old): p for old, p in probs.items()}
+
+
+# ``semitransparent-zeno`` is the row of ``multipixel-zeno``; a config keeps
+# the name it was given.
+KINDS: dict[str, Kind] = {
+    "ev-single-pass": Kind(SINGLE_PASS, {"D0_0": "D0", "Dd_0": "D1"}),
+    "zeno-single-pixel": Kind(CYCLING, {"D0_h": "Dh", "D0_v": "Dv"}),
+    "multipixel-single-pass": Kind(SINGLE_PASS),
+    "multipixel-zeno": Kind(CYCLING),
+    "michelson-zeno": Kind(FOLDED),
+    "semitransparent-zeno": Kind(CYCLING),
 }
-
-
-def multipixel_kind(kind: str) -> tuple[str, dict[str, str]]:
-    """Multi-pixel kind that runs ``kind`` and the renaming of its detector labels."""
-    return SINGLE_PIXEL_KINDS.get(kind, (kind, {}))
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Full description of one experiment: scheme kind, object and cycle count.
 
-    The cycling schemes use the canonical rotation angle (see
-    ``effective_theta``); single-pass kinds ignore ``n_cycles``.
+    ``kind`` is a name in ``KINDS``, kept as given; ``spec`` is its row.
+    Every kind needs ``n_cycles >= 1``.  The cycling schemes use the
+    canonical rotation angle (see ``effective_theta``); single-pass kinds
+    run once whatever ``n_cycles`` is.
     """
 
     kind: str
@@ -75,12 +129,16 @@ class SchemeConfig:
     n_cycles: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in SINGLE_PIXEL_KINDS and self.pattern.d != 1:
+        if not self.spec.per_pixel and self.pattern.d != 1:
             raise ValueError(f"{self.kind} is a single-pixel scheme, got d={self.pattern.d}")
-        if self.kind in ZENO_KINDS and self.n_cycles < 1:
+        if self.n_cycles < 1:
             raise ValueError(f"cycle count must be >= 1, got N={self.n_cycles}")
+
+    @property
+    def spec(self) -> Kind:
+        return KINDS[self.kind]
 
     @property
     def d(self) -> int:
@@ -89,16 +147,13 @@ class SchemeConfig:
     @property
     def effective_theta(self) -> float:
         """Rotation angle per rotator passage: pi/2N, or pi/4N for the folded
-        (Michelson) scheme, which sees the rotator twice per cycle."""
-        if self.kind == "michelson-zeno":
-            return np.pi / (4 * self.n_cycles)
-        return np.pi / (2 * self.n_cycles)
+        layout, which sees the rotator twice per cycle."""
+        return self.cycle_rotation / (2 if self.spec.layout == FOLDED else 1)
 
     @property
     def cycle_rotation(self) -> float:
-        """Total polarisation rotation accumulated per cycle."""
-        passes = 2 if self.kind == "michelson-zeno" else 1
-        return passes * self.effective_theta
+        """Total polarisation rotation accumulated per cycle, pi/2N."""
+        return np.pi / (2 * self.n_cycles)
 
 
 @dataclass(frozen=True)
@@ -139,7 +194,7 @@ def encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
     The folded scheme adds its arm mirror stage behind the object.
     """
     d = config.d
-    mirrors = (core.arm_mirrors(d),) if config.kind == "michelson-zeno" else ()
+    mirrors = (core.arm_mirrors(d),) if config.spec.layout == FOLDED else ()
     return (
         core.oam_sorter(d),
         core.oam_converter(d),
@@ -184,17 +239,19 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     The final OAM sorters fanning the output ports onto individual
     detectors are folded into the detector map, which resolves (pol, OAM,
     port) directly.  A single-pixel kind is built as its multi-pixel kind
-    at d = 1, with the detector labels renamed (see ``SINGLE_PIXEL_KINDS``).
+    at d = 1, with the detector labels renamed (``Kind.names``).  The folded
+    layout's h/v exchange comes from its Pockels switch-out, not from a
+    renaming.
     """
     d = config.d
     theta = config.effective_theta
-    kind, names = multipixel_kind(config.kind)
-    if kind == "multipixel-single-pass":
+    spec = config.spec
+    if spec.single_pass:
         elements = (core.beam_splitter(d), *encoder_elements(config), core.beam_splitter(d))
-        return BuiltScheme(elements, (), 1, _renamed(_port_detector_map(d), names))
+        return BuiltScheme(elements, (), 1, _renamed(_port_detector_map(d), spec.names))
 
-    dmap = _renamed(_pol_detector_map(d), names)
-    if kind == "michelson-zeno":
+    dmap = _renamed(_pol_detector_map(d), spec.names)
+    if spec.layout == FOLDED:
         cycle = (
             core.polarisation_rotator(theta, d),
             core.mirror_reflect("retro", d),
@@ -214,7 +271,7 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     return BuiltScheme(cycle, (), config.n_cycles, dmap)
 
 
-def _renamed(dmap: DetectorMap, names: dict[str, str]) -> DetectorMap:
+def _renamed(dmap: DetectorMap, names: Mapping[str, str]) -> DetectorMap:
     """``dmap`` with the labels in ``names`` renamed."""
     labels = tuple(names.get(label, label) for label in dmap.labels)
     return DetectorMap(dmap.d, labels, dmap.assignment) if names else dmap
@@ -231,7 +288,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     """
     built = build_scheme(config)
     cycle = core.compose(built.cycle_elements, label="cycle")
-    vec = core.make_initial_state(config.d, config.kind).flat
+    vec = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
     per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
 
     survivals: list[float] = []
@@ -257,14 +314,14 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
 
 
 def final_state_ideal(config: SchemeConfig) -> PhotonState:
-    """Large-N target state of the cycling scheme for an opaque/transparent object.
+    """Large-N target state of the unfolded cycling layout for an opaque/transparent object.
 
     Opaque pixels keep their H amplitude, transparent pixels are fully
     rotated to V, everything on the readout mode:
     (1/sqrt(d)) [ |H> sum_opaque |ell> + |V> sum_transparent |ell> ] |d>.
     """
-    if config.kind != "multipixel-zeno":
-        raise ValueError(f"ideal final state is defined for multipixel-zeno, got {config.kind!r}")
+    if config.spec.layout != CYCLING:
+        raise ValueError(f"ideal final state needs the cycling layout, got {config.kind!r}")
     if not config.pattern.is_binary:
         raise ValueError("ideal final state requires an opaque/transparent pattern")
     d = config.d

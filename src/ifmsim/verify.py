@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from ifmsim import analytics, core, schemes
-from ifmsim.core import POL_H, POL_V, SCHEME_KINDS, SINGLE_PASS_KINDS, PixelPattern
-from ifmsim.schemes import SINGLE_PIXEL_KINDS, SchemeConfig
+from ifmsim.core import POL_H, POL_V, PixelPattern
+from ifmsim.schemes import KINDS, SchemeConfig
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,11 @@ def check_oracle_equivalence(seed: int = 29, n_configs: int = 60) -> CheckResult
     """Closed forms match full state-vector runs on random configurations."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    kinds = sorted(SCHEME_KINDS)
+    kinds = sorted(KINDS.items())
     for _ in range(n_configs):
-        kind = kinds[rng.integers(0, len(kinds))]
-        d = 1 if kind in SINGLE_PIXEL_KINDS else int(rng.integers(1, 9))
-        pattern = _random_pattern(rng, d, binary=kind in SINGLE_PASS_KINDS)
+        kind, spec = kinds[rng.integers(0, len(kinds))]
+        d = int(rng.integers(1, 9)) if spec.per_pixel else 1
+        pattern = _random_pattern(rng, d, binary=spec.single_pass)
         n_cycles = int(rng.integers(1, 65))
         cfg = SchemeConfig(kind, pattern, n_cycles)
         worst = max(worst, _table_gap(cfg))
@@ -223,9 +223,10 @@ def check_michelson_equivalence(seed: int = 37) -> CheckResult:
     for d in (1, 2, 3, 4):
         for n in (1, 2, 8, 32, 64):
             pattern = _random_pattern(rng, d, binary=True)
+            folded = SchemeConfig("michelson-zeno", pattern, n)
             mz = schemes.run_scheme(SchemeConfig("multipixel-zeno", pattern, n)).distribution
-            mich = schemes.run_scheme(SchemeConfig("michelson-zeno", pattern, n)).distribution
-            mz_swapped = core.swap_hv_labels(mz.probabilities)
+            mich = schemes.run_scheme(folded).distribution
+            mz_swapped = folded.spec.relabel(mz.probabilities)
             gap = max(abs(mich.probabilities[k] - mz_swapped[k]) for k in mich.probabilities)
             worst = max(worst, gap, abs(mich.p_abs - mz.p_abs))
     return CheckResult("michelson-equivalence", worst <= 1e-10, f"max probability gap {worst:.3e}")
@@ -238,7 +239,7 @@ def check_semitransparent_exact_vs_sim(seed: int = 41) -> CheckResult:
     for _ in range(12):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 201))
-        cfg = SchemeConfig("semitransparent-zeno", _random_pattern(rng, d, binary=False), n)
+        cfg = SchemeConfig("multipixel-zeno", _random_pattern(rng, d, binary=False), n)
         worst = max(worst, _table_gap(cfg))
     return CheckResult("semitransparent-exact-vs-sim", worst <= 1e-10,
                        f"max probability gap {worst:.3e}")

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmsim import cli, core, experiment, verify
+from ifmsim import analytics, cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
-from ifmsim.core import space_dim
+from ifmsim.core import PixelPattern, space_dim
+from ifmsim.schemes import SchemeConfig, run_scheme
 
 
 def reject_constant(name):
@@ -184,6 +185,21 @@ class TestCmdRun:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["p_abs"] == 0.5
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scheme", "ev-single-pass", "--d", "1", "--N", "0", "--pattern", "1"],
+        ["run", "--scheme", "ev-single-pass", "--d", "1", "--N", "-1", "--pattern", "1"],
+        ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "0", "--pattern", "10"],
+        ["shots", "--scheme", "multipixel-single-pass", "--d", "2", "--N", "0",
+         "--pattern", "10", "--shots", "100"],
+    ])
+    def test_cycle_count_below_one_is_a_usage_error_for_every_kind(self, capsys, argv):
+        # A single-pass kind used to divide by N = 0 in its unused angle.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "cycle count must be >= 1" in captured.err
+        assert captured.out == ""
+
 
 class TestCmdSweep:
     def test_cycle_sweep_absorption_decreases(self, capsys):
@@ -239,6 +255,21 @@ class TestCmdSweep:
         code = main(["sweep", "--scheme", "semitransparent-zeno", "--d", "1",
                      "--pattern", "1", "--sweep-N", "10", "--sweep-T", "0.5"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--scheme", "multipixel-zeno", "--d", "0", "--N", "3", "--sweep-T", "0.5"],
+         "pattern must have at least one pixel"),
+        (["sweep", "--d", "2", "--pattern", "10", "--sweep-N", "1"], "missing field: scheme"),
+        (["sweep", "--scheme", "multipixel-single-pass", "--d", "2", "--pattern", "10",
+          "--sweep-N", "1"], "sweep is defined for the cycling schemes"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("usage error: ")
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestCmdShots:
@@ -341,6 +372,42 @@ class TestCmdShots:
         # A wrong h/v reading or rotation angle would miss the true values.
         for true_t, (lo, hi) in zip((0.5, 1.0), intervals):
             assert lo <= true_t <= hi
+
+    def test_semi_transparent_object_on_single_pass_has_no_truth_to_match(self, capsys):
+        # T = 0.5 used to be read as transparent against a dark-port verdict
+        # of opaque, which exited 4; the single-pass scheme has no fit.
+        code, report = run_json(capsys, [
+            "shots", "--scheme", "multipixel-single-pass", "--d", "2",
+            "--transmissions", "0.5,1", "--shots", "1000", "--seed", "1"])
+        assert code == EXIT_OK
+        assert report["pattern_match"] is None
+        assert report["reconstruction"] == {"verdicts": ["opaque", "transparent"]}
+
+    @pytest.mark.parametrize("transmissions", [(0.3, 1.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_semitransparent_zeno_is_an_alias_of_multipixel_zeno(self, capsys, transmissions):
+        # The object, not the kind name, decides the reconstruction: a
+        # binary object gets verdicts under either name.
+        pattern = PixelPattern(transmissions)
+        alias, plain = (SchemeConfig(kind, pattern, 40)
+                        for kind in ("semitransparent-zeno", "multipixel-zeno"))
+        assert alias.spec == plain.spec
+        a, b = run_scheme(alias), run_scheme(plain)
+        assert a.distribution == b.distribution
+        assert a.trace == b.trace
+        assert analytics.exact_distribution(alias) == analytics.exact_distribution(plain)
+        assert analytics.asymptotic_distribution(alias) == analytics.asymptotic_distribution(plain)
+        reports = []
+        for kind in ("semitransparent-zeno", "multipixel-zeno"):
+            code, report = run_json(capsys, [
+                "shots", "--scheme", kind, "--d", "3", "--N", "40",
+                "--transmissions", ",".join(map(str, transmissions)),
+                "--shots", "20000", "--seed", "3"])
+            assert report["config"].pop("scheme") == kind
+            reports.append((code, report))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == EXIT_OK
+        assert ("transmission_estimates" in reports[0][1]["reconstruction"]) \
+            == (not pattern.is_binary)
 
     def test_csv_streams_every_shot(self, capsys):
         n = experiment.CHUNK + 3

@@ -9,6 +9,7 @@ from ifmsim import analytics, core
 from ifmsim.analytics import AnalyticReport
 from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import (
+    KINDS,
     SchemeConfig,
     build_scheme,
     encoder_elements,
@@ -201,7 +202,8 @@ class TestMichelsonEquivalence:
                 pattern = PixelPattern.from_bits(rng.integers(0, 2, size=d))
                 mz = run_scheme(SchemeConfig("multipixel-zeno", pattern, n)).distribution
                 mich = run_scheme(SchemeConfig("michelson-zeno", pattern, n)).distribution
-                swapped = core.swap_hv_labels(mz.probabilities)
+                swapped = {label[:-1] + {"h": "v", "v": "h"}[label[-1]]: p
+                           for label, p in mz.probabilities.items()}
                 for label, p in mich.probabilities.items():
                     assert p == pytest.approx(swapped[label], abs=1e-10)
                 assert mich.p_abs == pytest.approx(mz.p_abs, abs=1e-10)
@@ -315,7 +317,7 @@ def dense_run(config):
     """Reference evolution: every element's dense matrix applied in turn."""
     built = build_scheme(config)
     cycle = [op.matrix for op in built.cycle_elements]
-    vec = core.make_initial_state(config.d, config.kind).flat
+    vec = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
     survival = []
     for _ in range(built.n_cycles):
         for matrix in cycle:
@@ -350,7 +352,7 @@ class TestEngineAgainstDenseReference:
         # Both sides of the former 256-cycle switch to matrix powers.
         for n in (256, 257, 2048):
             for kind, pattern in self.CASES:
-                if kind not in core.ZENO_KINDS:
+                if KINDS[kind].single_pass:
                     continue
                 config = SchemeConfig(kind, pattern, n)
                 result = run_scheme(config)

@@ -1,0 +1,130 @@
+"""Replay the benchmark command streams on this tree and on a parent revision.
+
+Run it from anywhere in a checkout:
+
+    python3 tools/replay.py --parent REV
+
+It runs the same commands on two trees: this working tree and revision REV,
+exported with ``git archive`` into a temporary directory (an export, unlike
+a worktree, leaves the repository as it was).  The commands are the first
+200 of each workload stream in ``perfbench/workloads.py`` with seed 1, then
+``--help`` for the top level and for each subcommand.  Each tree runs them in
+its own interpreter, through ``ifmsim.cli.main`` in-process, as the
+benchmark does.  The script prints every command whose exit code, stdout or
+stderr differs, with a unified diff of the text that differs, then a count.
+It exits 0 when nothing differs and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import itertools
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STREAM_SEED = 1
+STREAM_COMMANDS = 200
+HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
+                 ["verify", "--help"])
+
+# Runs each command of the JSON list in argv[1] and writes one JSON line
+# [exit, stdout, stderr] per command to argv[2].
+CHILD = """
+import contextlib, io, json, sys
+from ifmsim.cli import main
+
+with open(sys.argv[1]) as handle:
+    commands = json.load(handle)
+with open(sys.argv[2], "w") as results:
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.write(json.dumps([code, out.getvalue(), err.getvalue()]) + "\\n")
+"""
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) of every replayed command, in order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    named = []
+    for workload in WORKLOADS.values():
+        stream = itertools.islice(workload.stream(STREAM_SEED), STREAM_COMMANDS)
+        named += [(f"{workload.name}[{i}]", argv) for i, argv in enumerate(stream)]
+    return named + [("help", argv) for argv in HELP_COMMANDS]
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of revision ``rev`` to ``dest``."""
+    with subprocess.Popen(["git", "-C", str(ROOT), "archive", rev],
+                          stdout=subprocess.PIPE) as archive:
+        tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    if archive.returncode or tar.returncode:
+        raise SystemExit(f"cannot export revision {rev!r}")
+
+
+def start(tree: Path, command_file: Path, result_file: Path) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.Popen([sys.executable, "-c", CHILD, str(command_file), str(result_file)],
+                            cwd=tree, env=env)
+
+
+def diff(kind: str, old: str, new: str) -> list[str]:
+    lines = difflib.unified_diff(old.splitlines(keepends=True), new.splitlines(keepends=True),
+                                 f"parent {kind}", f"this {kind}")
+    return [line if line.endswith("\n") else line + "\n" for line in lines]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, metavar="REV",
+                        help="revision to compare this tree with")
+    rev = parser.parse_args().parent
+    named = commands()
+    with tempfile.TemporaryDirectory(prefix="ifmsim-replay-") as tmp:
+        tmp_path = Path(tmp)
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        export(rev, parent)
+        command_file = tmp_path / "commands.json"
+        command_file.write_text(json.dumps([argv for _, argv in named]))
+        parent_results, this_results = tmp_path / "parent.jsonl", tmp_path / "this.jsonl"
+        procs = [start(parent, command_file, parent_results),
+                 start(ROOT, command_file, this_results)]
+        for proc in procs:
+            if proc.wait():
+                raise SystemExit(f"replay interpreter exited {proc.returncode}")
+        differing = 0
+        with open(parent_results) as old_lines, open(this_results) as new_lines:
+            for (name, argv), old, new in zip(named, old_lines, new_lines, strict=True):
+                if old == new:
+                    continue
+                differing += 1
+                (old_code, *old_text), (new_code, *new_text) = json.loads(old), json.loads(new)
+                out = [f"{name}: ifmsim {shlex.join(argv)}\n"]
+                if old_code != new_code:
+                    out.append(f"  exit {old_code} -> {new_code}\n")
+                for kind, a, b in zip(("stdout", "stderr"), old_text, new_text):
+                    out += diff(kind, a, b)
+                sys.stdout.writelines(out)
+    print(f"{len(named)} commands replayed against {rev}: {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
