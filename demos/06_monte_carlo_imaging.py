@@ -21,7 +21,7 @@ from ifmsim.schemes import run_scheme
 rng = np.random.default_rng(6)
 bits = "".join(str(b) for b in rng.integers(0, 2, size=8))
 cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits(bits), 100)
-counts, records = sample_shots(cfg, 80_000, seed=11)
+counts = sample_shots(cfg, 80_000, seed=11)
 
 print(f"Hidden object: {bits}  (8 pixels, 100 cycles, 80000 photons, seed 11)")
 print("\nClick counts:")
@@ -44,7 +44,7 @@ print(f"\nLargest |z| against the exact distribution: {worst:.2f} "
 
 print("\nSemi-transparent object, two pixels with T = 0.1 and T = 0.9:")
 semi = SchemeConfig("semitransparent-zeno", PixelPattern((0.1, 0.9)), 100)
-semi_counts, _ = sample_shots(semi, 100_000, seed=12)
+semi_counts = sample_shots(semi, 100_000, seed=12)
 estimate = estimate_transmissions(semi_counts, semi)
 for ell, (t_hat, interval) in enumerate(zip(estimate.transmission, estimate.intervals)):
     print(f"  pixel {ell}: T_hat = {t_hat:.3f}, interval [{interval[0]:.3f}, {interval[1]:.3f}]")

@@ -40,23 +40,20 @@ from ifmsim.schemes import (
 )
 from ifmsim.analytics import (
     AnalyticReport,
+    asymptotic_distribution,
     block_probabilities,
     exact_distribution,
-    multipixel_single_pass_table,
-    multipixel_zeno_survival,
-    per_cycle_absorption,
-    semitransparent_asymptotic,
-    semitransparent_exact,
+    transmission_block,
 )
 from ifmsim.experiment import (
     ClickCounts,
     ReconstructedImage,
-    ShotRecords,
     StatCheck,
     estimate_transmissions,
     reconstruct_pattern,
     sample_distribution,
     sample_shots,
+    shot_csv,
     statistical_check,
 )
 

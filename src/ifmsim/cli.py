@@ -466,18 +466,17 @@ def cmd_shots(cfg: RunConfig) -> int:
     if cfg.seed >= 2**128:
         raise UsageError(f"seed must be < 2**128, got {cfg.seed}")
     scheme_config = cfg.scheme_config()
-    result = run_scheme(scheme_config)
-    dist = result.distribution
+    dist = run_scheme(scheme_config).distribution
     if (cfg.format or "json") == "json":
-        counts, _ = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+        counts = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
         report = _shots_report(cfg, scheme_config, dist, counts)
         _emit(_json_report(report), cfg.out)
     else:
         # The CSV is streamed, so --out is opened before any shot is drawn.
         with _output(cfg.out) as stream:
-            counts, records = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
+            counts = experiment.sample_distribution(dist, cfg.shots, cfg.seed)
             report = _shots_report(cfg, scheme_config, dist, counts)
-            stream.writelines(records.csv_chunks())
+            stream.writelines(experiment.shot_csv(dist, cfg.shots, cfg.seed))
     return EXIT_MISMATCH if report["pattern_match"] is False else EXIT_OK
 
 

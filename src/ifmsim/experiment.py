@@ -9,8 +9,9 @@ the same seed are bit-identical.
 Shots are drawn ``CHUNK`` at a time and each chunk is folded into a
 per-outcome tally, so sampling memory does not grow with the shot count.
 Each uniform is mapped to its outcome through a guide table built once per
-distribution (see ``_draws``).  A record stream keeps the seed, not the
-shots, and redraws them chunk by chunk when it is written as CSV.
+distribution (see ``_draws``).  ``shot_csv`` redraws the same shots from
+the seed and writes them as CSV, chunk by chunk.  A Zeno readout is one
+draw from the final distribution: no shot is collapsed cycle by cycle.
 
 Transmission estimates are per-pixel least-squares fits of the closed-form
 block model, by a numpy grid scan that zooms in on the best point.
@@ -98,129 +99,48 @@ def _draws(
         yield ids
 
 
-class ShotRecords:
-    """Record stream of one sampling run, redrawn from its seed on demand.
-
-    It keeps what the shots were drawn from, not the shots: the outcome
-    ``labels``, the category ``probabilities``, the ``seed`` and the shot
-    count ``n``.  ``chunks`` regenerates the outcome ids bit for bit, and
-    ``csv_chunks`` streams them as ``shot_index,outcome_label`` lines.
-    ``outcome_ids`` (and, for per-cycle records, ``absorbed_cycle``) hold
-    all ``n`` shots at once, so they cost memory in proportion to ``n``.
-
-    In per-cycle records the first ``n_cycles`` categories are absorption
-    in cycle 1, 2, ..., each recorded as ``absorbed``; the rest follow
-    ``labels``.  Otherwise categories and labels correspond one to one.
-    """
-
-    def __init__(
-        self,
-        labels: tuple[str, ...],
-        probabilities: np.ndarray,
-        seed: int,
-        n: int,
-        n_cycles: int = 0,
-    ) -> None:
-        self.labels = labels
-        self.probabilities = probabilities
-        self.seed = seed
-        self.n = n
-        self.n_cycles = n_cycles
-        # Outcome id of each category: a cycle's absorption is the last label.
-        self._outcome_of = np.concatenate([
-            np.full(n_cycles, len(labels) - 1, dtype=np.intp),
-            np.arange(len(probabilities) - n_cycles, dtype=np.intp)])
-
-    def __len__(self) -> int:
-        return self.n
-
-    def _categories(self) -> Iterator[np.ndarray]:
-        generator = np.random.Generator(np.random.Philox(key=self.seed))
-        return _draws(self.probabilities, generator, self.n)
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        """Outcome ids (indices into ``labels``) of consecutive chunks of shots."""
-        for categories in self._categories():
-            yield self._outcome_of.take(categories)
-
-    def tally(self) -> ClickCounts:
-        """Click counts of all ``n`` shots, folded chunk by chunk."""
-        per_category = np.zeros(len(self.probabilities), dtype=np.int64)
-        for categories in self._categories():
-            per_category += np.bincount(categories, minlength=len(per_category))
-        per_label = np.zeros(len(self.labels), dtype=np.int64)
-        np.add.at(per_label, self._outcome_of, per_category)
-        counts = {label: int(n) for label, n in zip(self.labels[:-1], per_label)}
-        return ClickCounts(counts, int(per_label[-1]), self.n)
-
-    @property
-    def outcome_ids(self) -> np.ndarray:
-        return np.concatenate(list(self.chunks()))
-
-    @property
-    def absorbed_cycle(self) -> np.ndarray | None:
-        """Cycle (from 1) in which each shot was absorbed, -1 if detected."""
-        if not self.n_cycles:
-            return None
-        return np.concatenate([
-            np.where(c < self.n_cycles, c + 1, -1) for c in self._categories()])
-
-    def csv_chunks(self) -> Iterator[str]:
-        """The CSV text: the header line, then the lines of one chunk at a time."""
-        yield "shot_index,outcome_label\n"
-        start = 0
-        for ids in self.chunks():
-            yield "".join([f"{k},{self.labels[i]}\n"
-                           for k, i in zip(range(start, start + len(ids)), ids.tolist())])
-            start += len(ids)
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
+def _shot_ids(
+    distribution: DetectionDistribution, n_shots: int, seed: int
+) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
+    """Outcome labels, ``absorbed`` last, and the chunked ids of the shots."""
+    if n_shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {n_shots}")
+    labels = tuple(distribution.probabilities) + (ABSORBED,)
+    probs = np.array(list(distribution.probabilities.values()) + [distribution.p_abs])
+    generator = np.random.Generator(np.random.Philox(key=seed))
+    return labels, _draws(probs, generator, n_shots)
 
 
 def sample_distribution(
     distribution: DetectionDistribution, n_shots: int, seed: int
-) -> tuple[ClickCounts, ShotRecords]:
-    """Draw ``n_shots`` i.i.d. outcomes from an exact distribution."""
-    if n_shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {n_shots}")
-    labels = tuple(distribution.probabilities.keys()) + (ABSORBED,)
-    probs = np.array(
-        [distribution.probabilities[k] for k in labels[:-1]] + [distribution.p_abs]
-    )
-    records = ShotRecords(labels, probs, seed, n_shots)
-    return records.tally(), records
+) -> ClickCounts:
+    """Click counts of ``n_shots`` i.i.d. outcomes drawn from an exact distribution."""
+    labels, chunks = _shot_ids(distribution, n_shots, seed)
+    tally = np.zeros(len(labels), dtype=np.int64)
+    for ids in chunks:
+        tally += np.bincount(ids, minlength=len(labels))
+    counts = {label: int(n) for label, n in zip(labels[:-1], tally)}
+    return ClickCounts(counts, int(tally[-1]), n_shots)
 
 
-def sample_shots(
-    config: SchemeConfig,
-    n_shots: int,
-    seed: int,
-    per_cycle: bool = False,
-) -> tuple[ClickCounts, ShotRecords]:
-    """Run ``config`` exactly and sample detector clicks from the result.
+def shot_csv(distribution: DetectionDistribution, n_shots: int, seed: int) -> Iterator[str]:
+    """The shots of ``sample_distribution`` as CSV text, one chunk at a time.
 
-    With ``per_cycle=True`` each shot is collapsed cycle by cycle instead of
-    drawn from the final distribution: absorption is attributed to a
-    specific cycle (recorded in ``ShotRecords.absorbed_cycle``, -1 for
-    detected photons).  Both modes produce identical outcome statistics.
+    The header line comes first, then one ``shot_index,outcome_label`` line
+    per shot.
     """
-    if n_shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {n_shots}")
-    result = schemes.run_scheme(config)
-    dist = result.distribution
-    if not per_cycle:
-        return sample_distribution(dist, n_shots, seed)
+    labels, chunks = _shot_ids(distribution, n_shots, seed)
+    yield "shot_index,outcome_label\n"
+    start = 0
+    for ids in chunks:
+        yield "".join([f"{k},{labels[i]}\n"
+                       for k, i in zip(range(start, start + len(ids)), ids.tolist())])
+        start += len(ids)
 
-    # Unconditional probability of absorption within each cycle, from the
-    # survival trace; detected outcomes keep their final probabilities.
-    surv = (1.0,) + result.trace.survival
-    cycle_probs = [max(surv[k] - surv[k + 1], 0.0) for k in range(len(result.trace))]
-    det_labels = tuple(dist.probabilities.keys())
-    probs = np.array(cycle_probs + [dist.probabilities[k] for k in det_labels])
-    records = ShotRecords(det_labels + (ABSORBED,), probs, seed, n_shots,
-                          n_cycles=len(cycle_probs))
-    return records.tally(), records
+
+def sample_shots(config: SchemeConfig, n_shots: int, seed: int) -> ClickCounts:
+    """Run ``config`` exactly and sample detector clicks from the result."""
+    return sample_distribution(schemes.run_scheme(config).distribution, n_shots, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ action, the one the simulator applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,8 +55,9 @@ def check_unitarity(seed: int = 7) -> CheckResult:
     worst = 0.0
     for d in (1, 2, 3, 5):
         n = core.space_dim(d)
-        for op in _all_unitaries(d, theta=0.37):
-            for _ in range(100 // len(_all_unitaries(d, 0.37)) + 1):
+        ops = _all_unitaries(d, theta=0.37)
+        for op in ops:
+            for _ in range(100 // len(ops) + 1):
                 v = rng.normal(size=n) + 1j * rng.normal(size=n)
                 v /= np.linalg.norm(v)
                 out = op.apply_flat(v)
@@ -201,18 +203,15 @@ def check_oracle_equivalence(seed: int = 29, n_configs: int = 60) -> CheckResult
 
 
 def check_telescoping(seed: int = 31) -> CheckResult:
-    """Per-cycle survival factors multiply to the closed-form survival."""
+    """The simulator's per-cycle survival factors multiply to the closed-form survival."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(50):
+    for _ in range(12):
         d = int(rng.integers(1, 9))
-        n_abs = int(rng.integers(0, d + 1))
-        n = int(rng.integers(1, 65))
-        theta = np.pi / (2 * n)
-        product = 1.0
-        for k in range(n):
-            product *= 1.0 - analytics.per_cycle_absorption(d, n_abs, k, theta)
-        worst = max(worst, abs(product - analytics.multipixel_zeno_survival(d, n_abs, n, theta)))
+        cfg = SchemeConfig("multipixel-zeno", _random_pattern(rng, d, binary=True),
+                           int(rng.integers(1, 65)))
+        product = math.prod(1.0 - p for p in schemes.run_scheme(cfg).trace.p_abs_cycle)
+        worst = max(worst, abs(product - (1.0 - analytics.exact_distribution(cfg).p_abs)))
     return CheckResult("telescoping", worst <= 1e-12, f"max product gap {worst:.3e}")
 
 
@@ -257,8 +256,8 @@ def check_vanishing_absorption() -> CheckResult:
     for t in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95):
         values = []
         for n in (100, 1000, 10000):
-            report = analytics.semitransparent_exact(1, n, np.pi / (2 * n), (t,))
-            values.append(report.p_abs)
+            cfg = SchemeConfig("multipixel-zeno", PixelPattern((t,)), n)
+            values.append(analytics.exact_distribution(cfg).p_abs)
         if not (values[2] < values[1] < values[0]):
             ok = False
             detail = f"p_abs not decreasing for T={t}: {values}"

@@ -16,6 +16,7 @@ from ifmsim.experiment import (
     estimate_transmissions,
     reconstruct_pattern,
     sample_shots,
+    shot_csv,
 )
 from ifmsim.schemes import SchemeConfig, run_scheme
 
@@ -176,7 +177,7 @@ def test_c08_semitransparent_exact_and_asymptotics():
             ts = tuple(rng.random(d))
             cfg = SchemeConfig("semitransparent-zeno", PixelPattern(ts), n)
             run = run_scheme(cfg).distribution
-            report = analytics.semitransparent_exact(d, n, cfg.effective_theta, ts)
+            report = analytics.exact_distribution(cfg)
             for label, p in report.exact.items():
                 assert abs(run.probabilities[label] - p) <= 1e-10, (d, n, label)
             assert abs(run.p_abs - report.p_abs) <= 1e-10
@@ -187,9 +188,9 @@ def test_c08_semitransparent_exact_and_asymptotics():
         scaled = []
         pv_exact = {}
         for n in grid:
-            theta = np.pi / (2 * n)
-            exact = analytics.semitransparent_exact(d, n, theta, (t,) * d)
-            asym = analytics.semitransparent_asymptotic(d, n, (t,) * d)
+            cfg = SchemeConfig("multipixel-zeno", PixelPattern((t,) * d), n)
+            exact = analytics.exact_distribution(cfg)
+            asym = analytics.asymptotic_distribution(cfg)
             scaled.append(n * abs(exact.exact["D0_h"] - asym.asymptotic["D0_h"]))
             pv_exact[n] = exact.exact["D0_v"]
         assert all(a > b for a, b in zip(scaled, scaled[1:])), scaled
@@ -207,8 +208,8 @@ def test_c09_vanishing_absorption():
         for t in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95):
             p_abs = {}
             for n in (100, 1000, 10000):
-                theta = np.pi / (2 * n)
-                p_abs[n] = analytics.semitransparent_exact(1, n, theta, (t,)).p_abs
+                cfg = SchemeConfig("multipixel-zeno", PixelPattern((t,)), n)
+                p_abs[n] = analytics.exact_distribution(cfg).p_abs
             assert p_abs[10000] < p_abs[1000] < p_abs[100], (t, p_abs)
 
     _report(9, "absorption vanishes with growing cycle count", body)
@@ -218,26 +219,26 @@ def test_c10_monte_carlo_sampling():
     def body():
         n_shots = 100_000
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
-        counts, records = sample_shots(cfg, n_shots, seed=1010)
+        counts = sample_shots(cfg, n_shots, seed=1010)
         for label, p in (("D0", 0.25), ("D1", 0.25), ("absorbed", 0.5)):
             sigma = math.sqrt(p * (1 - p) / n_shots)
             assert abs(counts.frequency(label) - p) <= 4 * sigma, label
 
         # Impossible outcomes: the absent-object run never fires the dark
         # detector, and opaque pixels never fire their v detectors.
-        absent_counts, _ = sample_shots(
+        absent_counts = sample_shots(
             SchemeConfig("ev-single-pass", PixelPattern.from_bits("0")), n_shots, seed=2020
         )
         assert absent_counts.counts["D1"] == 0
         zeno_cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("1100"), 100)
-        zeno_counts, _ = sample_shots(zeno_cfg, n_shots, seed=3030)
+        zeno_counts = sample_shots(zeno_cfg, n_shots, seed=3030)
         assert zeno_counts.counts["D0_v"] == 0
         assert zeno_counts.counts["D1_v"] == 0
 
         # Bit-identical rerun.
-        counts_again, records_again = sample_shots(cfg, n_shots, seed=1010)
-        assert counts_again == counts
-        assert records_again.to_csv() == records.to_csv()
+        dist = run_scheme(cfg).distribution
+        assert sample_shots(cfg, n_shots, seed=1010) == counts
+        assert "".join(shot_csv(dist, n_shots, 1010)) == "".join(shot_csv(dist, n_shots, 1010))
 
     _report(10, "Monte Carlo frequencies, forbidden outcomes, determinism", body)
 
@@ -251,7 +252,7 @@ def test_c11_imaging_end_to_end():
         for seed in range(100):
             bits = rng.integers(0, 2, size=d)
             cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits(bits), n_cycles)
-            counts, _ = sample_shots(cfg, n_shots, seed=seed)
+            counts = sample_shots(cfg, n_shots, seed=seed)
             image = reconstruct_pattern(counts, cfg)
             expected = tuple("opaque" if b else "transparent" for b in bits)
             successes += image.verdicts == expected
@@ -266,7 +267,7 @@ def test_c12_transmission_discrimination():
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((0.1, 0.9)), 100)
         correct = 0
         for seed in range(100):
-            counts, _ = sample_shots(cfg, 100_000, seed=seed)
+            counts = sample_shots(cfg, 100_000, seed=seed)
             image = estimate_transmissions(counts, cfg)
             correct += image.transmission[0] < image.transmission[1]
         assert correct >= 99, correct

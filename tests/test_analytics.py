@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from ifmsim import analytics
-from ifmsim.analytics import (
-    AnalyticReport,
-    exact_distribution,
-    multipixel_single_pass_table,
-    multipixel_zeno_survival,
-    per_cycle_absorption,
-    semitransparent_asymptotic,
-    semitransparent_exact,
-)
+from ifmsim.analytics import AnalyticReport, asymptotic_distribution, exact_distribution
 from ifmsim.core import PixelPattern
 from ifmsim.schemes import SchemeConfig, run_scheme
 
@@ -27,6 +19,21 @@ def single_pass_report(f):
 def cycling_report(n, f):
     """Closed-form report of the single-pixel cycling run on occupancy ``f``."""
     return exact_distribution(SchemeConfig("zeno-single-pixel", PixelPattern.from_bits([f]), n))
+
+
+def single_pass_table(pattern):
+    """Closed-form report of the parallel single-pass run on ``pattern``."""
+    return exact_distribution(SchemeConfig("multipixel-single-pass", pattern))
+
+
+def zeno(transmissions, n):
+    """Multi-pixel cycling configuration with ``n`` cycles at theta = pi/2n."""
+    return SchemeConfig("multipixel-zeno", PixelPattern(tuple(transmissions)), n)
+
+
+def survival(d, n_abs, n):
+    """Closed-form survival of ``n`` cycles on ``n_abs`` opaque pixels of ``d``."""
+    return 1.0 - exact_distribution(zeno([0.0] * n_abs + [1.0] * (d - n_abs), n)).p_abs
 
 
 class TestEvTable:
@@ -80,18 +87,18 @@ class TestZenoSingleExact:
 
 class TestSinglePassTable:
     def test_single_pixel_reduces_to_two_arm_values(self):
-        report = multipixel_single_pass_table(1, PixelPattern.from_bits("1"))
+        report = single_pass_table(PixelPattern.from_bits("1"))
         assert report.exact["D0_0"] == pytest.approx(0.25, abs=0)
         assert report.exact["Dd_0"] == pytest.approx(0.25, abs=0)
         assert report.p_abs == pytest.approx(0.5, abs=0)
 
     def test_survival_with_two_opaque_of_four(self):
-        report = multipixel_single_pass_table(4, PixelPattern.from_bits("1100"))
+        report = single_pass_table(PixelPattern.from_bits("1100"))
         assert 1.0 - report.p_abs == pytest.approx(6.0 / 8.0, abs=1e-15)
 
     def test_all_transparent_puts_everything_on_bright_port(self):
         d = 5
-        report = multipixel_single_pass_table(d, PixelPattern.transparent(d))
+        report = single_pass_table(PixelPattern.transparent(d))
         for ell in range(d):
             assert report.exact[f"D0_{ell}"] == pytest.approx(1.0 / d, abs=1e-15)
             assert report.exact[f"Dd_{ell}"] == 0.0
@@ -99,54 +106,38 @@ class TestSinglePassTable:
 
     def test_rejects_semitransparent(self):
         with pytest.raises(ValueError):
-            multipixel_single_pass_table(2, PixelPattern((0.5, 1.0)))
+            single_pass_table(PixelPattern((0.5, 1.0)))
 
 
 class TestZenoSurvival:
     def test_no_opaque_pixels(self):
-        assert multipixel_zeno_survival(4, 0, 10, np.pi / 20) == 1.0
+        assert survival(4, 0, 10) == 1.0
 
     def test_hand_evaluated_case(self):
         # d=2, one opaque pixel, two cycles at pi/4:
         # 1 - (1/2) (1 - cos^4(pi/4)) = 1 - (1/2)(1 - 1/4) = 5/8.
-        assert multipixel_zeno_survival(2, 1, 2, np.pi / 4) == pytest.approx(0.625, abs=1e-15)
+        assert survival(2, 1, 2) == pytest.approx(0.625, abs=1e-15)
 
     def test_all_opaque_matches_single_pixel(self):
         for n in (1, 5, 40):
             theta = np.pi / (2 * n)
             expected = math.cos(theta) ** (2 * n)
             for d in (1, 3, 8):
-                assert multipixel_zeno_survival(d, d, n, theta) == pytest.approx(
-                    expected, abs=1e-14
-                )
-
-    def test_rejects_bad_opaque_count(self):
-        with pytest.raises(ValueError):
-            multipixel_zeno_survival(2, 3, 4, 0.1)
+                assert survival(d, d, n) == pytest.approx(expected, abs=1e-14)
 
 
 class TestPerCycleAbsorption:
-    def test_first_cycle_single_pixel(self):
-        theta = 0.3
-        assert per_cycle_absorption(1, 1, 0, theta) == pytest.approx(
-            math.sin(theta) ** 2, abs=1e-15
-        )
-
-    def test_transparent_object_never_absorbs(self):
-        assert per_cycle_absorption(6, 0, 3, 0.2) == 0.0
-
     def test_survival_telescopes(self):
+        # The simulator's per-cycle survival factors multiply to the
+        # closed-form survival.
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = int(rng.integers(1, 9))
             n_abs = int(rng.integers(0, d + 1))
             n = int(rng.integers(1, 65))
-            theta = np.pi / (2 * n)
-            product = 1.0
-            for k in range(n):
-                product *= 1.0 - per_cycle_absorption(d, n_abs, k, theta)
-            expected = multipixel_zeno_survival(d, n_abs, n, theta)
-            assert product == pytest.approx(expected, abs=1e-12)
+            trace = run_scheme(zeno([0.0] * n_abs + [1.0] * (d - n_abs), n)).trace
+            product = math.prod(1.0 - p for p in trace.p_abs_cycle)
+            assert product == pytest.approx(survival(d, n_abs, n), abs=1e-12)
 
 
 class TestTransmissionBlock:
@@ -167,7 +158,7 @@ class TestTransmissionBlock:
 class TestSemitransparentExact:
     def test_fully_transparent_rotates_to_v(self):
         d, n = 3, 20
-        report = semitransparent_exact(d, n, np.pi / (2 * n), (1.0,) * d)
+        report = exact_distribution(zeno((1.0,) * d, n))
         for ell in range(d):
             assert report.exact[f"D{ell}_v"] == pytest.approx(1.0 / d, abs=1e-12)
             assert abs(report.exact[f"D{ell}_h"]) <= 1e-12
@@ -176,28 +167,28 @@ class TestSemitransparentExact:
     def test_opaque_limit_matches_survival_formula(self):
         for d, n in ((1, 3), (4, 16), (2, 64)):
             theta = np.pi / (2 * n)
-            report = semitransparent_exact(d, n, theta, (0.0,) * d)
-            expected = multipixel_zeno_survival(d, d, n, theta)
+            report = exact_distribution(zeno((0.0,) * d, n))
+            expected = math.cos(theta) ** (2 * n)
             assert 1.0 - report.p_abs == pytest.approx(expected, abs=1e-12)
 
     def test_matches_state_vector_run(self):
         # Ground truth for the block power is the full per-cycle simulation.
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((0.25,)), 50)
         run = run_scheme(cfg).distribution
-        report = semitransparent_exact(1, 50, cfg.effective_theta, (0.25,))
+        report = exact_distribution(cfg)
         for label, p in report.exact.items():
             assert run.probabilities[label] == pytest.approx(p, abs=1e-10)
         assert run.p_abs == pytest.approx(report.p_abs, abs=1e-10)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            semitransparent_exact(1, 5, 0.1, (1.2,))
+            analytics.block_probabilities(1.2, 0.1, 5)
 
     def test_transparent_limit_uses_exact_rotation(self):
         # At T = 1 the oracle uses sin^2(N theta), not the 2x2 power, so it
         # does not inherit the 9.8e-13 norm drift of 10^5 rotation products.
         n = 10**5
-        report = semitransparent_exact(1, n, np.pi / (2 * n), (1.0,))
+        report = exact_distribution(zeno((1.0,), n))
         assert abs(report.p_abs) <= 2 * np.finfo(float).eps
 
     def test_transparent_pixels_add_no_absorption(self):
@@ -205,8 +196,8 @@ class TestSemitransparentExact:
         # above 1: d = 11, N = 50 read p_abs = -2.2e-16.
         n = 50
         theta = np.pi / (2 * n)
-        assert semitransparent_exact(11, n, theta, (1.0,) * 11).p_abs == 0.0
-        mixed = semitransparent_exact(3, n, theta, (1.0, 0.0, 1.0))
+        assert exact_distribution(zeno((1.0,) * 11, n)).p_abs == 0.0
+        mixed = exact_distribution(zeno((1.0, 0.0, 1.0), n))
         assert mixed.p_abs == (1.0 - np.cos(theta) ** (2 * n)) / 3
 
     def test_binary_limits_are_trigonometric_and_close_to_block_power(self):
@@ -233,7 +224,7 @@ class TestSemitransparentExact:
 class TestSemitransparentAsymptotic:
     def test_opaque_pixels_reproduce_zeno_row(self):
         d, n = 4, 1000
-        report = semitransparent_asymptotic(d, n, (0.0,) * d)
+        report = asymptotic_distribution(zeno((0.0,) * d, n))
         for ell in range(d):
             expected = (1.0 - np.pi**2 / (4 * n)) / d
             assert report.asymptotic[f"D{ell}_h"] == pytest.approx(expected, abs=1e-15)
@@ -242,31 +233,18 @@ class TestSemitransparentAsymptotic:
     def test_quarter_transmission_coefficient(self):
         # (1 + sqrt(0.25)) / (1 - sqrt(0.25)) = 3
         n = 1000
-        report = semitransparent_asymptotic(1, n, (0.25,))
+        report = asymptotic_distribution(zeno((0.25,), n))
         expected_ph = 1.0 - 3.0 * np.pi**2 / (4 * n)
         assert report.asymptotic["D0_h"] == pytest.approx(expected_ph, abs=1e-15)
 
     def test_v_probability_scales_inverse_n_squared(self):
         t = 0.25
-        p1 = semitransparent_asymptotic(1, 1000, (t,)).asymptotic["D0_v"]
-        p2 = semitransparent_asymptotic(1, 2000, (t,)).asymptotic["D0_v"]
+        p1 = asymptotic_distribution(zeno((t,), 1000)).asymptotic["D0_v"]
+        p2 = asymptotic_distribution(zeno((t,), 2000)).asymptotic["D0_v"]
         assert p1 / p2 == pytest.approx(4.0, abs=1e-9)
-
-    def test_rejects_transparent_pole(self):
-        with pytest.raises(ValueError, match="pole"):
-            semitransparent_asymptotic(2, 100, (0.5, 1.0))
 
 
 class TestAsymptoticDistribution:
-    def test_equals_semitransparent_asymptotic_below_full_transmission(self):
-        ts = (0.0, 0.3, 0.8)
-        cfg = SchemeConfig("semitransparent-zeno", PixelPattern(ts), 500)
-        report = analytics.asymptotic_distribution(cfg)
-        expected = semitransparent_asymptotic(3, 500, ts)
-        assert report.asymptotic == expected.asymptotic
-        assert report.p_abs == expected.p_abs
-        assert report.exact is None
-
     def test_transparent_pixels_add_no_absorption(self):
         # d copies of 1/d summed above 1: d = 9 and 11 read p_abs = -2.2e-16.
         for d in (9, 11):
@@ -274,7 +252,7 @@ class TestAsymptoticDistribution:
             p_abs = analytics.asymptotic_distribution(cfg).p_abs
             assert p_abs == 0.0 and type(p_abs) is float
         mixed = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("101"), 100)
-        opaque = semitransparent_asymptotic(1, 100, (0.0,))
+        opaque = asymptotic_distribution(zeno((0.0,), 100))
         assert analytics.asymptotic_distribution(mixed).p_abs == 2 * opaque.p_abs / 3
 
     def test_transparent_pixel_takes_exact_limit(self):
@@ -296,10 +274,10 @@ class TestAsymptoticDistribution:
     def test_single_pixel_scheme_uses_its_detector_labels(self):
         cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), 100)
         report = analytics.asymptotic_distribution(cfg)
-        expected = semitransparent_asymptotic(1, 100, (0.0,)).asymptotic
+        expected = asymptotic_distribution(zeno((0.0,), 100)).asymptotic
         assert report.asymptotic == {"Dh": expected["D0_h"], "Dv": expected["D0_v"]}
 
-    def test_none_off_the_canonical_angle_or_for_single_pass(self):
+    def test_none_for_single_pass_kinds(self):
         pattern = PixelPattern.from_bits("10")
         assert analytics.asymptotic_distribution(
             SchemeConfig("multipixel-single-pass", pattern)) is None
@@ -313,7 +291,7 @@ class TestReportInvariants:
         for _ in range(30):
             d = int(rng.integers(1, 8))
             n = int(rng.integers(1, 100))
-            report = semitransparent_exact(d, n, np.pi / (2 * n), tuple(rng.random(d)))
+            report = exact_distribution(zeno(rng.random(d), n))
             assert sum(report.exact.values()) + report.p_abs == pytest.approx(1.0, abs=1e-12)
 
     def test_asymptotic_sum_error_scales_inverse_n_squared(self):
@@ -321,8 +299,8 @@ class TestReportInvariants:
         t = (0.3, 0.6)
         gaps = []
         for n in (1000, 2000, 4000):
-            report = semitransparent_asymptotic(d, n, t)
-            exact = semitransparent_exact(d, n, np.pi / (2 * n), t)
+            report = asymptotic_distribution(zeno(t, n))
+            exact = exact_distribution(zeno(t, n))
             gaps.append(abs(report.p_abs - exact.p_abs))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.2)
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.2)
@@ -367,7 +345,7 @@ class TestConvergenceProperties:
             scaled = []
             for n in (1000, 2000, 4000, 10000):
                 exact = analytics.block_probabilities(t, np.pi / (2 * n), n)[0]
-                asym = semitransparent_asymptotic(1, n, (t,)).asymptotic["D0_h"]
+                asym = asymptotic_distribution(zeno((t,), n)).asymptotic["D0_h"]
                 scaled.append(n * abs(exact - asym))
             assert all(a > b for a, b in zip(scaled, scaled[1:])), (t, scaled)
             assert scaled[0] < 10.0
@@ -376,8 +354,7 @@ class TestConvergenceProperties:
         for t in (0.0, 0.2, 0.5, 0.8, 0.95):
             p_abs = []
             for n in (100, 1000, 10000):
-                theta = np.pi / (2 * n)
-                p_abs.append(semitransparent_exact(1, n, theta, (t,)).p_abs)
+                p_abs.append(exact_distribution(zeno((t,), n)).p_abs)
             assert p_abs[2] < p_abs[1] < p_abs[0]
 
     def test_cycling_efficiency_beats_single_pass(self):

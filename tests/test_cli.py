@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, exit codes, self checks."""
 
+import collections
 import json
 import math
 import os
@@ -417,10 +418,14 @@ class TestCmdShots:
         text = capsys.readouterr().out
         dist = cli.run_scheme(cli.RunConfig(scheme="multipixel-zeno", d=2, n_cycles=20,
                                             pattern="10").scheme_config()).distribution
-        assert text == experiment.sample_distribution(dist, n, 6)[1].to_csv()
+        assert text == "".join(experiment.shot_csv(dist, n, 6))
         lines = text.splitlines()
         assert len(lines) == n + 1
         assert lines[-1].startswith(f"{n - 1},")
+        tally = collections.Counter(line.split(",")[1] for line in lines[1:])
+        counts = experiment.sample_distribution(dist, n, 6)
+        assert tally.pop(experiment.ABSORBED, 0) == counts.absorbed
+        assert tally == collections.Counter({k: v for k, v in counts.counts.items() if v})
 
     def test_unwritable_csv_out_fails_before_sampling(self, monkeypatch, tmp_path, capsys):
         def sample_distribution(*args):

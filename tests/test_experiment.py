@@ -19,6 +19,7 @@ from ifmsim.experiment import (
     reconstruct_pattern,
     sample_distribution,
     sample_shots,
+    shot_csv,
     statistical_check,
 )
 from ifmsim.schemes import SchemeConfig, run_scheme
@@ -42,6 +43,15 @@ def reference_csv(labels, ids):
     lines = ["shot_index,outcome_label"]
     lines.extend(f"{k},{labels[oid]}" for k, oid in enumerate(ids))
     return "\n".join(lines) + "\n"
+
+
+def labels_of(distribution):
+    """Outcome labels of a distribution's shots, ``absorbed`` last."""
+    return tuple(distribution.probabilities) + ("absorbed",)
+
+
+def csv_of(distribution, n, seed):
+    return "".join(shot_csv(distribution, n, seed))
 
 
 def distribution_of(probabilities):
@@ -71,14 +81,14 @@ ADVERSARIAL = {
 class TestSampling:
     def test_certain_outcome_always_sampled(self):
         dist = DetectionDistribution({"D0": 1.0, "D1": 0.0}, 0.0)
-        counts, records = sample_distribution(dist, 500, seed=1)
+        counts = sample_distribution(dist, 500, seed=1)
         assert counts.counts == {"D0": 500, "D1": 0}
         assert counts.absorbed == 0
-        assert all(records.labels[i] == "D0" for i in records.outcome_ids)
+        assert all(line.endswith(",D0") for line in csv_of(dist, 500, 1).splitlines()[1:])
 
     def test_ev_frequencies_within_sampling_error(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
-        counts, _ = sample_shots(cfg, 100_000, seed=7)
+        counts = sample_shots(cfg, 100_000, seed=7)
         n = counts.total
         for label, p in (("D0", 0.25), ("D1", 0.25)):
             sigma = np.sqrt(p * (1 - p) / n)
@@ -88,22 +98,18 @@ class TestSampling:
 
     def test_same_seed_is_bit_identical(self):
         cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("1010"), 50)
-        counts_a, records_a = sample_shots(cfg, 20_000, seed=99)
-        counts_b, records_b = sample_shots(cfg, 20_000, seed=99)
-        assert counts_a == counts_b
-        assert np.array_equal(records_a.outcome_ids, records_b.outcome_ids)
-        assert records_a.to_csv() == records_b.to_csv()
+        dist = run_scheme(cfg).distribution
+        assert sample_shots(cfg, 20_000, seed=99) == sample_shots(cfg, 20_000, seed=99)
+        assert csv_of(dist, 20_000, 99) == csv_of(dist, 20_000, 99)
 
     def test_different_seeds_differ(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
-        _, records_a = sample_shots(cfg, 1000, seed=0)
-        _, records_b = sample_shots(cfg, 1000, seed=1)
-        assert not np.array_equal(records_a.outcome_ids, records_b.outcome_ids)
+        dist = run_scheme(cfg).distribution
+        assert csv_of(dist, 1000, 0) != csv_of(dist, 1000, 1)
 
     def test_csv_format(self):
         dist = DetectionDistribution({"D0": 1.0}, 0.0)
-        _, records = sample_distribution(dist, 3, seed=5)
-        assert records.to_csv() == "shot_index,outcome_label\n0,D0\n1,D0\n2,D0\n"
+        assert csv_of(dist, 3, 5) == "shot_index,outcome_label\n0,D0\n1,D0\n2,D0\n"
 
     def test_counts_merge(self):
         a = ClickCounts({"x": 3}, 1, 4)
@@ -122,37 +128,28 @@ class TestSampling:
         dist = run_scheme(cfg).distribution
         assert dist.probabilities["D0_v"] == 0.0
         assert dist.probabilities["D1_v"] == 0.0
-        counts, _ = sample_shots(cfg, 100_000, seed=3)
+        counts = sample_shots(cfg, 100_000, seed=3)
         assert counts.counts["D0_v"] == 0
         assert counts.counts["D1_v"] == 0
-
-    def test_per_cycle_mode_attributes_absorption_to_cycles(self):
-        cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), 10)
-        n = 50_000
-        counts, records = sample_shots(cfg, n, seed=11, per_cycle=True)
-        result = run_scheme(cfg)
-        surv = (1.0,) + result.trace.survival
-        assert records.absorbed_cycle is not None
-        for k in range(10):
-            q = surv[k] - surv[k + 1]
-            observed = int(np.sum(records.absorbed_cycle == k + 1))
-            sigma = np.sqrt(q * (1 - q) / n)
-            assert abs(observed / n - q) <= 5 * sigma + 1e-12
-
-    def test_per_cycle_mode_matches_plain_statistics(self):
-        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 8)
-        n = 200_000
-        plain, _ = sample_shots(cfg, n, seed=21)
-        cycled, _ = sample_shots(cfg, n, seed=22, per_cycle=True)
-        for label in plain.counts:
-            p = run_scheme(cfg).distribution.probabilities[label]
-            sigma = np.sqrt(max(p * (1 - p) / n, 1e-12))
-            assert abs(plain.frequency(label) - cycled.frequency(label)) <= 8 * sigma + 1e-9
 
     def test_rejects_zero_shots(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("0"))
         with pytest.raises(ValueError):
             sample_shots(cfg, 0, seed=0)
+        with pytest.raises(ValueError):
+            next(shot_csv(run_scheme(cfg).distribution, 0, seed=0))
+
+
+def assert_matches_full_search(probabilities, n, seed):
+    """Counts and CSV of ``n`` shots equal those of the unchunked full search."""
+    dist = distribution_of(probabilities)
+    counts = sample_distribution(dist, n, seed)
+    labels = labels_of(dist)
+    ids = reference_ids(probabilities, seed, n)
+    tally = np.bincount(ids, minlength=len(probabilities))
+    assert [counts.counts[label] for label in labels[:-1]] == list(tally[:-1])
+    assert counts.absorbed == tally[-1]
+    assert csv_of(dist, n, seed) == reference_csv(labels, ids)
 
 
 class TestChunkedSampler:
@@ -161,14 +158,7 @@ class TestChunkedSampler:
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
     def test_counts_and_csv_match_full_search(self, name, n):
-        probabilities = ADVERSARIAL[name]
-        counts, records = sample_distribution(distribution_of(probabilities), n, seed=17)
-        ids = reference_ids(probabilities, 17, n)
-        tally = np.bincount(ids, minlength=len(probabilities))
-        assert [counts.counts[label] for label in records.labels[:-1]] == list(tally[:-1])
-        assert counts.absorbed == tally[-1]
-        assert np.array_equal(records.outcome_ids, ids)
-        assert records.to_csv() == reference_csv(records.labels, ids)
+        assert_matches_full_search(ADVERSARIAL[name], n, seed=17)
 
     def test_sum_below_1_caps_at_the_last_category(self):
         # A quarter of the uniforms lie beyond every cumulative probability.
@@ -177,20 +167,12 @@ class TestChunkedSampler:
         ids = np.concatenate(list(experiment._draws(probabilities, generator, CHUNK + 1)))
         assert np.array_equal(ids, reference_ids(probabilities, 3, CHUNK + 1))
 
-    def test_per_cycle_with_more_categories_than_buckets(self):
-        # N = 5000 cycles give N + 2d + 1 = 5005 categories, more than the
-        # 4096 guide buckets, so many buckets are searched.
-        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 5000)
-        n = CHUNK + 1
-        counts, records = sample_shots(cfg, n, seed=23, per_cycle=True)
-        assert len(records.probabilities) > experiment.GUIDE_BUCKETS
-        raw = reference_ids(records.probabilities, 23, n)
-        n_cycles, n_det = 5000, len(records.labels) - 1
-        expected = np.where(raw < n_cycles, n_det, raw - n_cycles)
-        assert np.array_equal(records.absorbed_cycle, np.where(raw < n_cycles, raw + 1, -1))
-        assert np.array_equal(records.outcome_ids, expected)
-        assert counts.absorbed == int(np.sum(raw < n_cycles))
-        assert records.to_csv() == reference_csv(records.labels, expected)
+    def test_more_categories_than_buckets(self):
+        # 5005 categories, more than the 4096 guide buckets, so many
+        # buckets are searched.
+        probabilities = np.random.default_rng(23).dirichlet(np.ones(5005))
+        assert len(probabilities) > experiment.GUIDE_BUCKETS
+        assert_matches_full_search(list(probabilities), CHUNK + 1, seed=23)
 
     def test_shot_k_depends_only_on_seed_and_k(self):
         # Philox yields four doubles per counter step, so advancing the
@@ -205,11 +187,11 @@ class TestChunkedSampler:
         assert np.array_equal(tail, full[4 * k:])
 
         dist = distribution_of(probabilities)
-        head_counts, records = sample_distribution(dist, 4 * k, seed=9)
+        head_counts = sample_distribution(dist, 4 * k, seed=9)
         tail_tally = np.bincount(tail, minlength=len(probabilities))
-        tail_counts = ClickCounts(dict(zip(records.labels[:-1], map(int, tail_tally[:-1]))),
+        tail_counts = ClickCounts(dict(zip(labels_of(dist)[:-1], map(int, tail_tally[:-1]))),
                                   int(tail_tally[-1]), n - 4 * k)
-        assert head_counts + tail_counts == sample_distribution(dist, n, seed=9)[0]
+        assert head_counts + tail_counts == sample_distribution(dist, n, seed=9)
 
     def test_memory_does_not_grow_with_shots(self):
         dist = distribution_of(ADVERSARIAL["dirichlet-with-zero-bins"])
@@ -287,7 +269,7 @@ class TestReconstruction:
         for seed in range(100):
             bits = rng.integers(0, 2, size=d)
             cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits(bits), n_cycles)
-            counts, _ = sample_shots(cfg, shots, seed=seed)
+            counts = sample_shots(cfg, shots, seed=seed)
             image = reconstruct_pattern(counts, cfg)
             expected = tuple("opaque" if b else "transparent" for b in bits)
             successes += image.verdicts == expected
@@ -297,14 +279,14 @@ class TestReconstruction:
 class TestTransmissionEstimation:
     def test_opaque_pixel_estimate_near_zero(self):
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((0.0,)), 100)
-        counts, _ = sample_shots(cfg, 100_000, seed=42)
+        counts = sample_shots(cfg, 100_000, seed=42)
         image = estimate_transmissions(counts, cfg)
         assert image.transmission[0] is not None
         assert 0.0 <= image.transmission[0] <= 0.05
 
     def test_transparent_pixel_estimate_near_one(self):
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((1.0,)), 100)
-        counts, _ = sample_shots(cfg, 100_000, seed=43)
+        counts = sample_shots(cfg, 100_000, seed=43)
         assert counts.counts["D0_h"] == 0
         image = estimate_transmissions(counts, cfg)
         assert image.transmission[0] >= 0.95
@@ -314,7 +296,7 @@ class TestTransmissionEstimation:
         correct = 0
         trials = 20
         for seed in range(trials):
-            counts, _ = sample_shots(cfg, 100_000, seed=seed)
+            counts = sample_shots(cfg, 100_000, seed=seed)
             image = estimate_transmissions(counts, cfg)
             correct += image.transmission[0] < image.transmission[1]
         assert correct == trials
@@ -333,7 +315,7 @@ class TestTransmissionEstimation:
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((true_t,)), 200)
         covered = 0
         for seed in range(20):
-            counts, _ = sample_shots(cfg, 200_000, seed=seed)
+            counts = sample_shots(cfg, 200_000, seed=seed)
             image = estimate_transmissions(counts, cfg)
             lo, hi = image.intervals[0]
             covered += lo <= true_t <= hi
@@ -375,7 +357,7 @@ class TestTransmissionEstimation:
             "import ifmsim.cli\n"
             "from ifmsim import PixelPattern, SchemeConfig, estimate_transmissions, sample_shots\n"
             "cfg = SchemeConfig('semitransparent-zeno', PixelPattern((0.0,)), 100)\n"
-            "counts, _ = sample_shots(cfg, 100_000, seed=42)\n"
+            "counts = sample_shots(cfg, 100_000, seed=42)\n"
             "assert 0.0 <= estimate_transmissions(counts, cfg).transmission[0] <= 0.05\n"
         )
         src = Path(experiment.__file__).resolve().parents[1]
@@ -402,7 +384,7 @@ class TestStatisticalCheck:
     def test_ev_present_all_z_within_four_sigma(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
         dist = run_scheme(cfg).distribution
-        counts, _ = sample_shots(cfg, 100_000, seed=8)
+        counts = sample_shots(cfg, 100_000, seed=8)
         check = statistical_check(counts, dist)
         assert set(check.z_scores) == {"D0", "D1", "absorbed"}
         assert all(abs(z) <= 4.0 for z in check.z_scores.values())
