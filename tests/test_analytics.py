@@ -1,6 +1,7 @@
 """Closed-form evaluators: table values, identities, asymptotics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,8 +126,24 @@ class TestZenoSurvival:
             for d in (1, 3, 8):
                 assert survival(d, d, n) == pytest.approx(expected, abs=1e-14)
 
+    def test_rejects_bad_opaque_count(self):
+        # A single-pixel kind has room for one opaque pixel only.
+        with pytest.raises(ValueError, match="single-pixel"):
+            exact_distribution(SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("11"), 4))
+
 
 class TestPerCycleAbsorption:
+    def test_first_cycle_single_pixel(self):
+        n = 10
+        cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), n)
+        trace = run_scheme(cfg).trace
+        assert trace.p_abs_cycle[0] == pytest.approx(math.sin(np.pi / (2 * n)) ** 2, abs=1e-15)
+
+    def test_transparent_object_never_absorbs(self):
+        cfg = zeno((1.0,) * 6, 20)
+        assert run_scheme(cfg).trace.p_abs_cycle == (0.0,) * 20
+        assert exact_distribution(cfg).p_abs == 0.0
+
     def test_survival_telescopes(self):
         # The simulator's per-cycle survival factors multiply to the
         # closed-form survival.
@@ -243,8 +260,32 @@ class TestSemitransparentAsymptotic:
         p2 = asymptotic_distribution(zeno((t,), 2000)).asymptotic["D0_v"]
         assert p1 / p2 == pytest.approx(4.0, abs=1e-9)
 
+    def test_transparent_pixel_skips_the_pole(self):
+        # (1 + sqrt(T)) / (1 - sqrt(T)) divides by zero at T = 1; evaluating
+        # it there would warn and return inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = asymptotic_distribution(zeno((0.5, 1.0), 100))
+        assert all(math.isfinite(p) for p in report.asymptotic.values())
+        assert report.asymptotic["D1_v"] == 0.5
+
 
 class TestAsymptoticDistribution:
+    def test_equals_semitransparent_asymptotic_below_full_transmission(self):
+        # semitransparent-zeno is an alias of multipixel-zeno; below T = 1
+        # each pixel follows the large-N expansion.
+        ts = (0.0, 0.3, 0.8)
+        n = 500
+        report = asymptotic_distribution(SchemeConfig("semitransparent-zeno", PixelPattern(ts), n))
+        assert report == asymptotic_distribution(zeno(ts, n))
+        assert report.exact is None
+        for ell, t in enumerate(ts):
+            r = math.sqrt(t)
+            ph = 1.0 - (1.0 + r) / (1.0 - r) * np.pi**2 / (4 * n)
+            pv = t / (1.0 - r) ** 2 * np.pi**2 / (4 * n**2)
+            assert report.asymptotic[f"D{ell}_h"] == pytest.approx(ph / 3, abs=1e-15)
+            assert report.asymptotic[f"D{ell}_v"] == pytest.approx(pv / 3, abs=1e-15)
+
     def test_transparent_pixels_add_no_absorption(self):
         # d copies of 1/d summed above 1: d = 9 and 11 read p_abs = -2.2e-16.
         for d in (9, 11):

@@ -132,6 +132,25 @@ class TestSampling:
         assert counts.counts["D0_v"] == 0
         assert counts.counts["D1_v"] == 0
 
+    def test_absorbed_shots_match_the_traced_cycle_losses(self):
+        # The absorbed share is the survival lost over the cycles.
+        cfg = SchemeConfig("zeno-single-pixel", PixelPattern.from_bits("1"), 10)
+        n = 50_000
+        counts = sample_shots(cfg, n, seed=11)
+        q = 1.0 - run_scheme(cfg).trace.survival[-1]
+        sigma = np.sqrt(q * (1 - q) / n)
+        assert abs(counts.absorbed / n - q) <= 5 * sigma
+
+    def test_seeds_agree_within_sampling_error(self):
+        cfg = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 8)
+        n = 200_000
+        a = sample_shots(cfg, n, seed=21)
+        b = sample_shots(cfg, n, seed=22)
+        assert a != b
+        for label, p in run_scheme(cfg).distribution.probabilities.items():
+            sigma = np.sqrt(max(p * (1 - p) / n, 1e-12))
+            assert abs(a.frequency(label) - b.frequency(label)) <= 8 * sigma + 1e-9
+
     def test_rejects_zero_shots(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("0"))
         with pytest.raises(ValueError):
