@@ -27,9 +27,11 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterator, NamedTuple, TextIO
 
+import numpy as np
+
 from ifmsim import analytics, experiment, verify
 from ifmsim.core import DetectionDistribution, PixelPattern
-from ifmsim.schemes import KINDS, SchemeConfig, run_scheme
+from ifmsim.schemes import KINDS, SchemeConfig, SchemeTrace, run_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -290,6 +292,8 @@ def _json_write(obj, out: list[str], indent: str) -> None:
             _json_write(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(obj, SchemeTrace):
+        _json_write_trace(obj, out, indent)
     elif isinstance(obj, str):
         out.append(_json_str(obj))
     elif obj is None:
@@ -302,6 +306,41 @@ def _json_write(obj, out: list[str], indent: str) -> None:
         out.append(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_write_trace(trace: SchemeTrace, out: list[str], indent: str) -> None:
+    """Append ``trace`` as its list of ``cycle``/``p_abs_cycle``/``survival`` rows.
+
+    Every row is written from one ``%.15g`` template.  A row holding a value
+    whose ``%.15g`` text may differ from ``_json_float`` (one within 1e-14 of
+    an integer, including 0 and -0, a subnormal, one at or above 1e14, or a
+    NaN or infinity) takes the template's ``%s`` form with ``_json_float``
+    text instead, so the text is the same and a non-finite value still raises.
+    """
+    n = len(trace)
+    if not n:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    field = inner + "  "
+    row = (f'{{\n{field}"cycle": %d,\n{field}"p_abs_cycle": %.15g,\n'
+           f'{field}"survival": %.15g\n{inner}}}')
+    columns = np.array([trace.p_abs_cycle, trace.survival])
+    magnitude = np.abs(columns)
+    with np.errstate(invalid="ignore"):
+        plain = ((magnitude >= _MIN_NORMAL) & (magnitude < 1e14)
+                 & (np.abs(columns - np.rint(columns)) > 1e-14 * magnitude))
+    rows = [row] * n
+    values: list = [None] * (3 * n)
+    values[0::3] = range(1, n + 1)
+    values[1::3] = trace.p_abs_cycle
+    values[2::3] = trace.survival
+    exact_row = row.replace("%.15g", "%s")
+    for k in np.flatnonzero(~plain.all(axis=0)).tolist():
+        rows[k] = exact_row
+        values[3 * k + 1] = _json_float(values[3 * k + 1])
+        values[3 * k + 2] = _json_float(values[3 * k + 2])
+    out.append(f"[\n{inner}" + f",\n{inner}".join(rows) % tuple(values) + f"\n{indent}]")
 
 
 def _json_report(report: dict) -> str:
@@ -322,7 +361,10 @@ def _json_report(report: dict) -> str:
       and ``repr`` writes fewer (``5e-324``, not ``4.94065645841247e-324``),
       so a nonzero subnormal goes through ``repr`` too.
 
-    Keys must be strings, as every report key is.
+    A ``SchemeTrace`` value is written as its list of row objects, sorted
+    keys ``cycle``, ``p_abs_cycle``, ``survival``, all rows from one
+    template (``_json_write_trace``), so ``run`` builds no row dicts.  Keys
+    must be strings, as every report key is.
     """
     out: list[str] = []
     try:
@@ -338,14 +380,14 @@ def _fmt_float(x: float) -> str:
 
 
 def _analytic_block(config: SchemeConfig) -> dict:
+    """Closed-form comparison of ``run``; the exact entries are null where no
+    closed form exists (a single-pass kind on an object that is not binary)."""
     block: dict = {"exact": None, "asymptotic": None, "p_abs": None, "efficiency": None}
-    try:
+    if config.pattern.is_binary or not config.spec.single_pass:
         exact = analytics.exact_distribution(config)
         block["exact"] = dict(exact.exact) if exact.exact else None
         block["p_abs"] = exact.p_abs
         block["efficiency"] = exact.efficiency
-    except ValueError:
-        pass
     asym = analytics.asymptotic_distribution(config)
     if asym is not None:
         block["asymptotic"] = dict(asym.asymptotic or {})
@@ -373,10 +415,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "p_abs": dist.p_abs,
         "survival": 1.0 - dist.p_abs,
         "analytic": _analytic_block(scheme_config),
-        "trace": [
-            {"cycle": k, "survival": s, "p_abs_cycle": p}
-            for k, (s, p) in enumerate(zip(result.trace.survival, result.trace.p_abs_cycle), 1)
-        ],
+        "trace": result.trace,
     }
     if (cfg.format or "json") == "json":
         _emit(_json_report(report), cfg.out)

@@ -15,7 +15,7 @@ import pytest
 from ifmsim import analytics, cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ifmsim.core import PixelPattern, space_dim
-from ifmsim.schemes import SchemeConfig, run_scheme
+from ifmsim.schemes import SchemeConfig, SchemeTrace, run_scheme
 
 
 def reject_constant(name):
@@ -185,6 +185,28 @@ class TestCmdRun:
                      "--pattern", "1", "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["p_abs"] == 0.5
+
+    def test_single_pass_semi_transparent_run_has_no_exact_table(self, capsys):
+        code, report = run_json(capsys, [
+            "run", "--scheme", "multipixel-single-pass", "--d", "2",
+            "--transmissions", "0.5,1"])
+        assert code == EXIT_OK
+        assert report["analytic"]["exact"] is None
+        assert report["analytic"]["p_abs"] is None
+
+    def test_oracle_fault_exits_numeric(self, monkeypatch, capsys):
+        # The exact table used to be dropped on any ValueError, so a fault
+        # in the closed form was reported as "exact": null with exit 0.
+        def broken(config):
+            raise ValueError("oracle fault")
+
+        monkeypatch.setattr(analytics, "exact_distribution", broken)
+        code = main(["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4",
+                     "--pattern", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "oracle fault" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scheme", "ev-single-pass", "--d", "1", "--N", "0", "--pattern", "1"],
@@ -528,11 +550,19 @@ class TestCmdVerify:
 def _round15(obj):
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
+    if isinstance(obj, SchemeTrace):
+        return _round15(trace_rows(obj.survival, obj.p_abs_cycle))
     if isinstance(obj, dict):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
     return obj
+
+
+def trace_rows(survival, p_abs_cycle):
+    """The trace as the list of row objects that ``run`` reports."""
+    return [{"cycle": k, "survival": s, "p_abs_cycle": p}
+            for k, (s, p) in enumerate(zip(survival, p_abs_cycle), 1)]
 
 
 def reference_report(report):
@@ -542,6 +572,12 @@ def reference_report(report):
 
 EDGE_FLOATS = [100.0, -0.0, 0.0, 1e-5, 1.5e-7, 123456789012345.0, 999999999999999.9,
                1e15, 5e15, 1e16, 1e300, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2]
+
+
+def random_floats():
+    """The finite doubles among 100 000 random bit patterns."""
+    bits = np.random.default_rng(20211).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    return [x for x in struct.unpack(f"<{bits.size}d", bits.tobytes()) if math.isfinite(x)]
 
 
 class TestJsonReport:
@@ -556,9 +592,39 @@ class TestJsonReport:
         assert cli._json_report(report) == reference_report(report)
 
     def test_random_bit_patterns(self):
-        bits = np.random.default_rng(20211).integers(0, 2**64, size=100_000, dtype=np.uint64)
-        values = [x for x in struct.unpack(f"<{bits.size}d", bits.tobytes()) if math.isfinite(x)]
+        values = random_floats()
         assert cli._json_report({"values": values}) == reference_report({"values": values})
+
+    @pytest.mark.parametrize("values", [EDGE_FLOATS, random_floats()],
+                             ids=["edge", "random-bits"])
+    def test_trace_rows(self, values):
+        # Each value and its negation, as survival and as p_abs_cycle.
+        negated = [-x for x in values]
+        for survival, p_abs_cycle in ((values, negated), (negated, values)):
+            trace = SchemeTrace(tuple(survival), tuple(p_abs_cycle))
+            expected = reference_report({"trace": trace_rows(survival, p_abs_cycle)})
+            assert cli._json_report({"trace": trace}) == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_trace_rows_at_any_depth(self, depth):
+        survival, p_abs_cycle = (1.0, 0.5, 0.25), (0.0, 0.5, 0.5)
+        report = {"trace": SchemeTrace(survival, p_abs_cycle)}
+        expected = {"trace": trace_rows(survival, p_abs_cycle)}
+        for _ in range(depth):
+            report, expected = {"nested": [report]}, {"nested": [expected]}
+        assert cli._json_report(report) == reference_report(expected)
+
+    def test_empty_trace(self):
+        assert cli._json_report({"trace": SchemeTrace((), ())}) == '{\n  "trace": []\n}\n'
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", ["survival", "p_abs_cycle"])
+    def test_non_finite_trace_value_raises(self, x, column):
+        values = {"survival": [0.9, 0.8, 0.7], "p_abs_cycle": [0.1, 0.1, 0.1]}
+        values[column][1] = x
+        trace = SchemeTrace(tuple(values["survival"]), tuple(values["p_abs_cycle"]))
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._json_report({"trace": trace})
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scheme", "multipixel-zeno", "--d", "3", "--N", "30", "--pattern", "101"],

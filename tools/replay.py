@@ -8,6 +8,8 @@ It runs the same commands on two trees: this working tree and revision REV,
 exported with ``git archive`` into a temporary directory (an export, unlike
 a worktree, leaves the repository as it was).  The commands are the first
 200 of each workload stream in ``perfbench/workloads.py`` with seed 1, then
+two ``run`` commands whose cycle trace holds edge values (a unitary run,
+where every survival is 1.0 and every absorption 0.0, and a long run), then
 ``--help`` for the top level and for each subcommand.  Each tree runs them in
 its own interpreter, through ``ifmsim.cli.main`` in-process, as the
 benchmark does.  The script prints every command whose exit code, stdout or
@@ -31,6 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STREAM_SEED = 1
 STREAM_COMMANDS = 200
+TRACE_COMMANDS = (
+    ["run", "--scheme", "multipixel-zeno", "--d", "3", "--N", "50", "--transmissions", "1,1,1"],
+    ["run", "--scheme", "michelson-zeno", "--d", "4", "--N", "10000", "--pattern", "1010"],
+)
 HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
                  ["verify", "--help"])
 
@@ -65,6 +71,7 @@ def commands() -> list[tuple[str, list[str]]]:
     for workload in WORKLOADS.values():
         stream = itertools.islice(workload.stream(STREAM_SEED), STREAM_COMMANDS)
         named += [(f"{workload.name}[{i}]", argv) for i, argv in enumerate(stream)]
+    named += [(f"trace[{i}]", argv) for i, argv in enumerate(TRACE_COMMANDS)]
     return named + [("help", argv) for argv in HELP_COMMANDS]
 
 
