@@ -27,7 +27,7 @@ print(f"  absorbed: {result.distribution.p_abs:.5f}")
 
 print("\nSurvival during the first cycles (non-increasing):")
 trace = result.trace
-for cycle, (survival, loss) in enumerate(zip(trace.survival[:6], trace.p_abs_cycle), 1):
+for cycle, (survival, loss) in enumerate(zip(trace.survival[:6], trace.p_abs_cycle[:6]), 1):
     print(f"  after cycle {cycle:>3}: survival {survival:.8f}, "
           f"conditional loss {loss:.2e}")
 

@@ -325,7 +325,7 @@ def _json_write_trace(trace: SchemeTrace, out: list[str], indent: str) -> None:
     field = inner + "  "
     row = (f'{{\n{field}"cycle": %d,\n{field}"p_abs_cycle": %.15g,\n'
            f'{field}"survival": %.15g\n{inner}}}')
-    columns = np.array([trace.p_abs_cycle, trace.survival])
+    columns = np.stack((trace.p_abs_cycle, trace.survival))
     magnitude = np.abs(columns)
     with np.errstate(invalid="ignore"):
         plain = ((magnitude >= _MIN_NORMAL) & (magnitude < 1e14)
@@ -333,8 +333,7 @@ def _json_write_trace(trace: SchemeTrace, out: list[str], indent: str) -> None:
     rows = [row] * n
     values: list = [None] * (3 * n)
     values[0::3] = range(1, n + 1)
-    values[1::3] = trace.p_abs_cycle
-    values[2::3] = trace.survival
+    values[1::3], values[2::3] = columns.tolist()
     exact_row = row.replace("%.15g", "%s")
     for k in np.flatnonzero(~plain.all(axis=0)).tolist():
         rows[k] = exact_row

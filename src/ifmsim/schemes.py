@@ -15,10 +15,14 @@ The single-pixel kinds ``ev-single-pass`` and ``zeno-single-pixel`` are
 the first two at d = 1, read under their own detector labels.  The object,
 not the kind, decides what a run can be reconstructed into.
 
-``run_scheme`` composes each scheme's cycle into one gather-form element,
-applies it once per cycle (O(D) work each) while recording the survival
-trace, and projects the final state on the detectors.  Every cycle count
-runs through this one path.
+``run_scheme`` composes each scheme's cycle into one gather-form element
+and restricts it to the amplitudes the input photon reaches: a cycling run
+starts and ends every cycle on the reference mode, so at most 2d of the
+2d(d+1) amplitudes.  The states after cycles 1..N come from doubling on
+that support, in blocks of ``BLOCK_ROWS`` rows, and give the survival
+trace; the last state goes back into the full space for the switch-out
+and the detectors.  Every cycle count and every kind runs through this one
+path.
 """
 
 from __future__ import annotations
@@ -41,14 +45,17 @@ from ifmsim.core import (
 
 # Rounding budget of a run: a norm deficit within
 # c * eps * (element applications) is rounding, not absorption, with c below.
-# Over 1096 unitary runs (transparent objects, all six kinds, d <= 24,
-# N <= 10^4) the largest |1 - survival| / (eps * applications) was 1.0,
-# reached by single-pass runs; cycling runs stayed below 0.15 (0.047 for the
-# d=8, N=5000 run that reported p_abs = -4.2e-13).  c = 2 doubles the worst.
-# The trace holds each cycle's survival to the same budget, counting the
-# applications up to that cycle: over 788 such runs and every cycle the
-# largest ratio was 0.83, and 0.75 in cycling runs (at cycle 1).
+# Over 1120 unitary runs (transparent objects, all six kinds, d <= 24,
+# N <= 10^4; ``tools/rounding_budget.py`` runs them and prints the ratios)
+# the largest |1 - survival| / (eps * applications) was 0.57, reached by a
+# single-pass run; cycling runs stayed below 0.19.  The trace holds each
+# cycle's survival to the same budget, counting the applications up to that
+# cycle: over every cycle the largest ratio was 0.5, and 0.375 in cycling
+# runs (at cycle 1).  c = 2 is 3.5 times the worst.
 ROUNDING_ULPS_PER_APPLICATION = 2.0
+
+# Rows of trace states held at once by ``run_scheme``; a power of two.
+BLOCK_ROWS = 256
 
 # Layouts of a scheme: one pass through a balanced interferometer, N weak
 # cycles, or N cycles folded into a Michelson arm.
@@ -156,20 +163,32 @@ class SchemeConfig:
         return np.pi / (2 * self.n_cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeTrace:
     """Per-cycle survival record of a run.
 
     ``survival[k]`` is the survival probability after cycle k+1 and
     ``p_abs_cycle[k]`` the conditional absorption probability during that
-    cycle (given survival so far).
+    cycle (given survival so far).  Both are read-only float64 arrays.
     """
 
-    survival: tuple[float, ...]
-    p_abs_cycle: tuple[float, ...]
+    survival: np.ndarray
+    p_abs_cycle: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("survival", "p_abs_cycle"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.survival)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SchemeTrace):
+            return NotImplemented
+        return (np.array_equal(self.survival, other.survival)
+                and np.array_equal(self.p_abs_cycle, other.p_abs_cycle))
 
 
 @dataclass(frozen=True)
@@ -180,6 +199,11 @@ class BuiltScheme:
     switch_out: tuple[ElementOp, ...]
     n_cycles: int
     detector_map: DetectorMap
+
+    @property
+    def applications(self) -> int:
+        """Element applications of a run: N cycles, then the switch-out."""
+        return self.n_cycles * len(self.cycle_elements) + len(self.switch_out)
 
 
 class SchemeResult(NamedTuple):
@@ -280,37 +304,66 @@ def _renamed(dmap: DetectorMap, names: Mapping[str, str]) -> DetectorMap:
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    The cycle's elements are composed once and the product is applied
-    ``n_cycles`` times, so each cycle costs O(D).  Returns the final
+    The cycle's elements are composed once and restricted to the
+    amplitudes the input reaches within ``n_cycles`` cycles (at most 2d of
+    the 2d(d+1) on a cycling scheme).  The states after cycles 1..N are
+    then built by doubling (``_evolve``).  The last state goes back into
+    the full space for the switch-out and the readout.  Returns the final
     (sub-normalized) state, the detection distribution and the per-cycle
     survival trace.  A survival within the rounding budget of the element
     applications so far reads as 1 in the trace and the readout.
     """
     built = build_scheme(config)
     cycle = core.compose(built.cycle_elements, label="cycle")
-    vec = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
-    per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
-
-    survivals: list[float] = []
-    p_cycle: list[float] = []
-    prev = 1.0
-    for k in range(1, built.n_cycles + 1):
-        vec = cycle.apply_flat(vec)
-        s = float(np.vdot(vec, vec).real)
-        if abs(1.0 - s) <= per_application * k * len(built.cycle_elements):
-            s = 1.0
-        p_cycle.append(1.0 - s / prev if prev > 0.0 else 0.0)
-        survivals.append(s)
-        prev = s
+    start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
+    support = core.reachable(cycle, start, built.n_cycles)
+    survival, last = _evolve(cycle.restrict(support), start[support], built.n_cycles)
+    vec = np.zeros_like(start)
+    vec[support] = last
     for op in built.switch_out:
         vec = op.apply_flat(vec)
 
-    applications = built.n_cycles * len(built.cycle_elements) + len(built.switch_out)
-    budget = per_application * applications
+    per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
+    cycles = np.arange(1, built.n_cycles + 1)
+    survival[np.abs(1.0 - survival) <= per_application * cycles * len(built.cycle_elements)] = 1.0
+    before = np.concatenate(([1.0], survival[:-1]))
+    kept = np.divide(survival, before, out=np.ones_like(survival), where=before > 0.0)
     final_state = PhotonState.from_flat(config.d, vec)
-    distribution = core.detection_distribution(final_state, built.detector_map, budget)
-    trace = SchemeTrace(tuple(survivals), tuple(p_cycle))
-    return SchemeResult(final_state, distribution, trace)
+    distribution = core.detection_distribution(final_state, built.detector_map,
+                                               per_application * built.applications)
+    return SchemeResult(final_state, distribution, SchemeTrace(survival, 1.0 - kept))
+
+
+def _evolve(cycle: ElementOp, start: np.ndarray, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Survival after each of ``n_cycles`` applications of ``cycle`` to
+    ``start``, and the last state.
+
+    The states are built in blocks of B = ``BLOCK_ROWS`` rows.  In the
+    first block, rows [n, 2n) are rows [0, n) times C^n; each later block
+    is the one before times C^B.  The powers C^n come from
+    ``core.doublings``, each rounded once from a more precise product.
+    Memory is one block, not one row per cycle.
+    """
+    rows = min(n_cycles, BLOCK_ROWS)
+    doublings = (rows - 1).bit_length()
+    powers = core.doublings(cycle, max(1, doublings + (n_cycles > rows)))
+    block = np.empty((rows, cycle.dim), dtype=np.complex128)
+    block[0] = cycle.apply_flat(start)
+    filled = 1
+    for power in powers[:doublings]:
+        count = min(filled, rows - filled)
+        block[filled:filled + count] = power.apply_flat(block[:count])
+        filled += count
+    survival = np.empty(n_cycles)
+    done = 0
+    while True:
+        count = min(rows, n_cycles - done)
+        survival[done:done + count] = np.square(block[:count].view(np.float64)).sum(axis=1)
+        done += count
+        if done == n_cycles:
+            return survival, block[count - 1]
+        count = min(rows, n_cycles - done)
+        block[:count] = powers[-1].apply_flat(block[:count])
 
 
 def final_state_ideal(config: SchemeConfig) -> PhotonState:

@@ -9,7 +9,6 @@ action, the one the simulator applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -210,7 +209,7 @@ def check_telescoping(seed: int = 31) -> CheckResult:
         d = int(rng.integers(1, 9))
         cfg = SchemeConfig("multipixel-zeno", _random_pattern(rng, d, binary=True),
                            int(rng.integers(1, 65)))
-        product = math.prod(1.0 - p for p in schemes.run_scheme(cfg).trace.p_abs_cycle)
+        product = float(np.prod(1.0 - schemes.run_scheme(cfg).trace.p_abs_cycle))
         worst = max(worst, abs(product - (1.0 - analytics.exact_distribution(cfg).p_abs)))
     return CheckResult("telescoping", worst <= 1e-12, f"max product gap {worst:.3e}")
 

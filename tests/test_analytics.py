@@ -141,7 +141,7 @@ class TestPerCycleAbsorption:
 
     def test_transparent_object_never_absorbs(self):
         cfg = zeno((1.0,) * 6, 20)
-        assert run_scheme(cfg).trace.p_abs_cycle == (0.0,) * 20
+        assert tuple(run_scheme(cfg).trace.p_abs_cycle) == (0.0,) * 20
         assert exact_distribution(cfg).p_abs == 0.0
 
     def test_survival_telescopes(self):

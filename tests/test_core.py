@@ -509,3 +509,64 @@ class TestPermutationOp:
     def test_site_map_leaving_the_basis_rejected(self):
         with pytest.raises(ValueError, match="leaves the basis"):
             core.permutation_op(2, lambda pol, ell, mode: (pol, ell + 1, mode), "overflow")
+
+
+def zeno_cycle(d, theta, transmissions):
+    """The unfolded cycle's elements, as ``schemes`` builds them."""
+    pattern = PixelPattern(tuple(transmissions))
+    return [core.polarisation_rotator(theta, d), core.polarising_beam_splitter(d),
+            core.oam_sorter(d), core.oam_converter(d),
+            core.object_attenuator(pattern, "pixel-paths"),
+            core.oam_converter(d, inverse=True), core.oam_sorter(d, inverse=True),
+            core.polarising_beam_splitter(d)]
+
+
+class TestRestrictedForms:
+    def test_reachable_support_and_restricted_cycle(self):
+        rng = np.random.default_rng(23)
+        for d in range(1, 7):
+            transmissions = rng.uniform(0.1, 0.9, size=d)
+            cycle = core.compose(zeno_cycle(d, 0.2, transmissions))
+            start = core.make_initial_state(d, d).flat
+            support = core.reachable(cycle, start, 50)
+            sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
+            assert set(support) == set(sites[:, :, d].ravel())
+            restricted = cycle.restrict(support)
+            assert restricted.dim == 2 * d
+            full, small = start, start[support]
+            for _ in range(5):
+                full, small = cycle.apply_flat(full), restricted.apply_flat(small)
+                assert np.array_equal(full[support], small)
+                assert np.count_nonzero(np.delete(full, support)) == 0
+
+    def test_reachable_stops_after_the_given_steps(self):
+        cycle = core.compose(zeno_cycle(3, 0.2, (0.5, 0.5, 0.5)))
+        start = core.make_initial_state(3, 3).flat
+        assert np.array_equal(core.reachable(cycle, start, 0), np.flatnonzero(start))
+        assert len(core.reachable(cycle, start, 1)) == 6
+
+    def test_doublings_are_accurate_powers(self):
+        cycle = core.compose(zeno_cycle(2, np.pi / 64, (0.3, 1.0)))
+        start = core.make_initial_state(2, 2).flat
+        restricted = cycle.restrict(core.reachable(cycle, start, 64))
+        powers = core.doublings(restricted, 7)
+        assert powers[0] is restricted
+        for j, power in enumerate(powers):
+            assert power.dim == restricted.dim and power.index.shape[0] <= 2
+            reference = np.linalg.matrix_power(restricted.matrix, 2**j)
+            assert np.max(np.abs(power.matrix - reference)) <= 1e-15 * 2**j
+
+    def test_gather_form_of_its_own_length(self):
+        op = core.ElementOp("pair", 1, [[1, 0]], [[1.0, 1.0]], dim=2)
+        assert op.dim == 2 and np.array_equal(op.apply_flat(np.array([2.0, 3.0])), [3.0, 2.0])
+        assert np.array_equal(op.apply_flat(np.eye(2)), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="different lengths"):
+            core.compose([op, core.pockels_flip(1)])
+        with pytest.raises(ValueError, match="applied to state"):
+            op.apply(core.make_initial_state(1, 0))
+
+    def test_elements_fixed_by_d_are_shared(self):
+        assert core.oam_sorter(3) is core.oam_sorter(3)
+        assert core.oam_sorter(3, inverse=True) is not core.oam_sorter(3)
+        op = core.polarising_beam_splitter(4)
+        assert not op.index.flags.writeable and not op.coeff.flags.writeable

@@ -9,7 +9,9 @@ from ifmsim import analytics, core
 from ifmsim.analytics import AnalyticReport
 from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import (
+    BLOCK_ROWS,
     KINDS,
+    ROUNDING_ULPS_PER_APPLICATION,
     SchemeConfig,
     build_scheme,
     encoder_elements,
@@ -128,7 +130,7 @@ class TestRunScheme:
             d = int(rng.integers(1, 7))
             pattern = PixelPattern(tuple(rng.random(d)))
             result = run_scheme(SchemeConfig("semitransparent-zeno", pattern, 40))
-            surv = (1.0,) + result.trace.survival
+            surv = (1.0, *result.trace.survival)
             assert all(b <= a + 1e-12 for a, b in zip(surv, surv[1:]))
 
     def test_survival_stays_one_when_transparent(self):
@@ -360,3 +362,90 @@ class TestEngineAgainstDenseReference:
                 assert len(result.trace) == n
                 assert np.max(np.abs(result.state.flat - vec)) <= 1e-12, (kind, n)
                 assert np.max(np.abs(np.array(result.trace.survival) - survival)) <= 1e-12
+
+
+def sequential_run(config):
+    """Reference evolution: the full-space composed cycle applied once per cycle."""
+    built = build_scheme(config)
+    cycle = core.compose(built.cycle_elements)
+    vec = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
+    survival = []
+    for _ in range(built.n_cycles):
+        vec = cycle.apply_flat(vec)
+        survival.append(float(np.vdot(vec, vec).real))
+    for op in built.switch_out:
+        vec = op.apply_flat(vec)
+    return vec, np.array(survival)
+
+
+def run_budget(config):
+    """Rounding budget of the whole run: 2 eps per element application."""
+    applications = build_scheme(config).applications
+    return ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps * applications
+
+
+class TestDoublingEngine:
+    """``run_scheme`` against the plain per-cycle evolution on the full space."""
+
+    B = BLOCK_ROWS
+    CYCLES = (1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 300)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_sequential_full_space_run(self, kind):
+        rng = np.random.default_rng(sorted(KINDS).index(kind) + 100)
+        for binary in (True, False):
+            for n in self.CYCLES:
+                d = int(rng.integers(1, 9)) if KINDS[kind].per_pixel else 1
+                pattern = (PixelPattern.from_bits(rng.integers(0, 2, size=d)) if binary
+                           else PixelPattern(tuple(rng.uniform(0.05, 0.95, size=d))))
+                config = SchemeConfig(kind, pattern, n)
+                budget = run_budget(config)
+                result = run_scheme(config)
+                vec, survival = sequential_run(config)
+                case = (kind, pattern.transmissions, n)
+                assert np.max(np.abs(result.state.flat - vec)) <= budget, case
+                reference = core.detection_distribution(
+                    core.PhotonState.from_flat(d, vec), build_scheme(config).detector_map, budget)
+                assert abs(result.distribution.p_abs - reference.p_abs) <= budget, case
+                for label, p in reference.probabilities.items():
+                    assert abs(result.distribution.probabilities[label] - p) <= budget, case
+                assert len(result.trace) == len(survival)
+                assert np.max(np.abs(result.trace.survival - survival)) <= budget, case
+                before = np.concatenate(([1.0], survival[:-1]))
+                gap = np.abs(result.trace.p_abs_cycle - (1.0 - survival / before))
+                assert np.all(gap <= 2 * budget / before), case
+
+    @pytest.mark.parametrize("kind", sorted(k for k, spec in KINDS.items() if not spec.single_pass))
+    def test_cycling_support_holds_at_most_2d_amplitudes(self, kind):
+        for d in (1, 4, 8) if KINDS[kind].per_pixel else (1,):
+            for pattern in (PixelPattern.transparent(d), PixelPattern((0.5,) * d)):
+                config = SchemeConfig(kind, pattern, 300)
+                cycle = core.compose(build_scheme(config).cycle_elements)
+                start = core.make_initial_state(d, d).flat
+                assert len(core.reachable(cycle, start, config.n_cycles)) <= 2 * d
+
+
+class TestSemitransparentTraceClosedForm:
+    # Worst gaps over these cases: 6.0e-13 in survival with the per-cycle
+    # loop and with the doubling engine (the folded layout rotates twice by
+    # pi/4N, the closed form once by pi/2N), and 1.3e-15 and 1.9e-15 in
+    # p_abs_cycle.
+    SURVIVAL_BOUND = 1e-12
+    P_ABS_CYCLE_BOUND = 5e-15
+
+    @pytest.mark.parametrize("d", (2, 8, 16))
+    @pytest.mark.parametrize("n", (64, 2048))
+    @pytest.mark.parametrize("kind", ("semitransparent-zeno", "michelson-zeno"))
+    def test_every_trace_row_matches_block_powers(self, kind, d, n):
+        rng = np.random.default_rng(11 + d)
+        transmissions = np.round(rng.uniform(0.05, 0.95, size=d), 4)
+        config = SchemeConfig(kind, PixelPattern(tuple(transmissions)), n)
+        trace = run_scheme(config).trace
+        expected = np.empty(n)
+        for k in range(1, n + 1):
+            ph, pv = analytics.block_probabilities(transmissions, config.cycle_rotation, k)
+            expected[k - 1] = float(np.sum(ph + pv)) / d
+        before = np.concatenate(([1.0], expected[:-1]))
+        assert np.max(np.abs(trace.survival - expected)) <= self.SURVIVAL_BOUND
+        assert np.max(np.abs(trace.p_abs_cycle - (1.0 - expected / before))) \
+            <= self.P_ABS_CYCLE_BOUND

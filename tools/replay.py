@@ -8,13 +8,18 @@ It runs the same commands on two trees: this working tree and revision REV,
 exported with ``git archive`` into a temporary directory (an export, unlike
 a worktree, leaves the repository as it was).  The commands are the first
 200 of each workload stream in ``perfbench/workloads.py`` with seed 1, then
-two ``run`` commands whose cycle trace holds edge values (a unitary run,
-where every survival is 1.0 and every absorption 0.0, and a long run), then
-``--help`` for the top level and for each subcommand.  Each tree runs them in
-its own interpreter, through ``ifmsim.cli.main`` in-process, as the
-benchmark does.  The script prints every command whose exit code, stdout or
-stderr differs, with a unified diff of the text that differs, then a count.
-It exits 0 when nothing differs and 1 otherwise.
+four ``run`` commands whose cycle trace holds edge values (a unitary run,
+where every survival is 1.0 and every absorption 0.0, a long run, a
+64-pixel semi-transparent run and a run one cycle past the engine's block
+of trace rows), then ``--help`` for the top level and for each subcommand.
+Each tree runs them in its own interpreter, through ``ifmsim.cli.main``
+in-process, as the benchmark does.  The script prints every command whose
+exit code, stdout or stderr differs, then a count.  When two JSON reports
+differ in float values only, it lists each moved field, list positions
+folded into ``[*]``, with its largest change and, for ``run`` and
+``shots``, that change as a fraction of the run's rounding budget (2 eps
+per element application); any other difference is shown as a unified
+diff.  It exits 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,11 +36,19 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ifmsim import cli, schemes  # noqa: E402  (this tree's package)
+
 STREAM_SEED = 1
 STREAM_COMMANDS = 200
 TRACE_COMMANDS = (
     ["run", "--scheme", "multipixel-zeno", "--d", "3", "--N", "50", "--transmissions", "1,1,1"],
     ["run", "--scheme", "michelson-zeno", "--d", "4", "--N", "10000", "--pattern", "1010"],
+    ["run", "--scheme", "multipixel-zeno", "--d", "64", "--N", "10000", "--transmissions",
+     ",".join(f"{0.05 + 0.9 * k / 63:.4f}" for k in range(64))],
+    ["run", "--scheme", "michelson-zeno", "--d", "5", "--N", str(schemes.BLOCK_ROWS + 1),
+     "--transmissions", "0.3,1,0,0.8,0.5"],
 )
 HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
                  ["verify", "--help"])
@@ -97,6 +110,61 @@ def diff(kind: str, old: str, new: str) -> list[str]:
     return [line if line.endswith("\n") else line + "\n" for line in lines]
 
 
+def float_moves(old, new, path: str = "", moves: dict | None = None) -> dict | None:
+    """Largest change of each float field, for two JSON values that differ
+    in float values only; None when anything else differs."""
+    moves = {} if moves is None else moves
+    if isinstance(old, float) and isinstance(new, float):
+        if old != new:
+            moves[path] = max(moves.get(path, 0.0), abs(new - old))
+        return moves
+    if type(old) is not type(new):
+        return None
+    if isinstance(old, dict):
+        if old.keys() != new.keys():
+            return None
+        items = [(old[key], new[key], f"{path}.{key}" if path else key) for key in old]
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            return None
+        items = [(a, b, f"{path}[*]") for a, b in zip(old, new)]
+    else:
+        return moves if old == new else None
+    for a, b, where in items:
+        if float_moves(a, b, where, moves) is None:
+            return None
+    return moves
+
+
+def rounding_budget(argv: list[str]) -> float | None:
+    """Rounding budget of the run behind a ``run`` or ``shots`` command."""
+    command, cfg = cli.parse_config(argv)
+    if command not in ("run", "shots"):
+        return None
+    applications = schemes.build_scheme(cfg.scheme_config()).applications
+    return schemes.ROUNDING_ULPS_PER_APPLICATION * sys.float_info.epsilon * applications
+
+
+def float_report(argv: list[str], old: list, new: list) -> list[str] | None:
+    """One line per moved float field, or None unless the outputs differ
+    only in the float values of their JSON reports."""
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    if old_code != new_code or old_err != new_err:
+        return None
+    try:
+        moves = float_moves(json.loads(old_out), json.loads(new_out))
+    except ValueError:
+        return None
+    if not moves:
+        return None
+    budget = rounding_budget(argv)
+    lines = []
+    for field, change in moves.items():
+        ratio = "" if budget is None else f", {change / budget:.3g} of the run's budget"
+        lines.append(f"  {field}: largest change {change:.3g}{ratio}\n")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -116,20 +184,26 @@ def main() -> int:
         for proc in procs:
             if proc.wait():
                 raise SystemExit(f"replay interpreter exited {proc.returncode}")
-        differing = 0
+        differing = floats_only = 0
         with open(parent_results) as old_lines, open(this_results) as new_lines:
             for (name, argv), old, new in zip(named, old_lines, new_lines, strict=True):
                 if old == new:
                     continue
                 differing += 1
-                (old_code, *old_text), (new_code, *new_text) = json.loads(old), json.loads(new)
+                old, new = json.loads(old), json.loads(new)
                 out = [f"{name}: ifmsim {shlex.join(argv)}\n"]
-                if old_code != new_code:
-                    out.append(f"  exit {old_code} -> {new_code}\n")
-                for kind, a, b in zip(("stdout", "stderr"), old_text, new_text):
-                    out += diff(kind, a, b)
+                moved = float_report(argv, old, new)
+                if moved is not None:
+                    floats_only += 1
+                    out += moved
+                else:
+                    if old[0] != new[0]:
+                        out.append(f"  exit {old[0]} -> {new[0]}\n")
+                    for kind, a, b in zip(("stdout", "stderr"), old[1:], new[1:]):
+                        out += diff(kind, a, b)
                 sys.stdout.writelines(out)
-    print(f"{len(named)} commands replayed against {rev}: {differing} differ")
+    print(f"{len(named)} commands replayed against {rev}: {differing} differ, "
+          f"{floats_only} of them in float values only")
     return 1 if differing else 0
 
 

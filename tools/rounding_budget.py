@@ -1,0 +1,79 @@
+"""Measure the norm drift of unitary runs against the rounding budget.
+
+Run it from anywhere in a checkout:
+
+    python3 tools/rounding_budget.py
+
+It runs transparent objects, where no amplitude is absorbed, through every
+scheme kind: the four cycling kinds at d = 1..24 (d = 1 for the single-pixel
+kind) and 15 cycle counts from 1 to 10^4, around the engine's block of
+trace rows too, and the two single-pass kinds once each at d = 1..24.  It
+prints the largest ratio |1 - survival| / (eps * element applications) of
+the final state, over all runs and over the cycling runs, and the same for
+every trace row before the clamp, counting the applications up to that
+row.  ``schemes.ROUNDING_ULPS_PER_APPLICATION`` is set from these ratios.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ifmsim import core, schemes  # noqa: E402
+from ifmsim.schemes import KINDS, SchemeConfig  # noqa: E402
+
+CYCLES = (1, 2, 3, 4, 7, 16, 63, 255, 256, 257, 513, 1000, 2048, 4097, 10_000)
+PIXELS = range(1, 25)
+EPS = np.finfo(np.float64).eps
+
+
+def configs():
+    for kind, spec in sorted(KINDS.items()):
+        for d in PIXELS if spec.per_pixel else (1,):
+            for n in (1,) if spec.single_pass else CYCLES:
+                yield SchemeConfig(kind, core.PixelPattern.transparent(d), n)
+
+
+def trace_survival(config: SchemeConfig, built: schemes.BuiltScheme) -> np.ndarray:
+    """Survival after each cycle as the engine computes it, before the clamp."""
+    cycle = core.compose(built.cycle_elements)
+    start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
+    support = core.reachable(cycle, start, built.n_cycles)
+    return schemes._evolve(cycle.restrict(support), start[support], built.n_cycles)[0]
+
+
+def main() -> int:
+    runs = 0
+    final = {"all": (0.0, None), "cycling": (0.0, None)}
+    rows = {"all": (0.0, None), "cycling": (0.0, None)}
+    for config in configs():
+        runs += 1
+        built = schemes.build_scheme(config)
+        length = len(built.cycle_elements)
+        survival = schemes.run_scheme(config).state.survival
+        ratio = abs(1.0 - survival) / (EPS * built.applications)
+        trace = trace_survival(config, built)
+        row_ratios = np.abs(1.0 - trace) / (EPS * length * np.arange(1, len(trace) + 1))
+        row = int(np.argmax(row_ratios))
+        groups = ("all",) if config.spec.single_pass else ("all", "cycling")
+        for group in groups:
+            final[group] = max(final[group], (ratio, config), key=lambda item: item[0])
+            rows[group] = max(rows[group], (float(row_ratios[row]), (config, row + 1)),
+                              key=lambda item: item[0])
+    print(f"{runs} unitary runs")
+    for group in ("all", "cycling"):
+        ratio, config = final[group]
+        print(f"final state, {group}: largest ratio {ratio:.3g} "
+              f"({config.kind}, d={config.d}, N={config.n_cycles})")
+        ratio, (config, row) = rows[group]
+        print(f"trace rows, {group}: largest ratio {ratio:.3g} "
+              f"({config.kind}, d={config.d}, N={config.n_cycles}, cycle {row})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
