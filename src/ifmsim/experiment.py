@@ -9,18 +9,20 @@ the same seed are bit-identical.
 Shots are drawn ``CHUNK`` at a time and each chunk is folded into a
 per-outcome tally, so sampling memory does not grow with the shot count.
 Each uniform is mapped to its outcome through a guide table built once per
-distribution (see ``_draws``).  ``shot_csv`` redraws the same shots from
-the seed and writes them as CSV, chunk by chunk.  A Zeno readout is one
-draw from the final distribution: no shot is collapsed cycle by cycle.
+distribution (see ``_draws``).  ``shot_csv`` draws the same shots from
+the seed and writes them as CSV, chunk by chunk, and returns their tally.
+A Zeno readout is one draw from the final distribution: no shot is
+collapsed cycle by cycle.
 
 Transmission estimates are per-pixel least-squares fits of the closed-form
-block model, by a numpy grid scan that zooms in on the best point.
+block model, by one numpy grid scan over all pixels that zooms in on each
+pixel's best point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -111,6 +113,11 @@ def _shot_ids(
     return labels, _draws(probs, generator, n_shots)
 
 
+def _click_counts(labels: tuple[str, ...], tally: np.ndarray, n_shots: int) -> ClickCounts:
+    counts = {label: int(n) for label, n in zip(labels[:-1], tally)}
+    return ClickCounts(counts, int(tally[-1]), n_shots)
+
+
 def sample_distribution(
     distribution: DetectionDistribution, n_shots: int, seed: int
 ) -> ClickCounts:
@@ -119,23 +126,29 @@ def sample_distribution(
     tally = np.zeros(len(labels), dtype=np.int64)
     for ids in chunks:
         tally += np.bincount(ids, minlength=len(labels))
-    counts = {label: int(n) for label, n in zip(labels[:-1], tally)}
-    return ClickCounts(counts, int(tally[-1]), n_shots)
+    return _click_counts(labels, tally, n_shots)
 
 
-def shot_csv(distribution: DetectionDistribution, n_shots: int, seed: int) -> Iterator[str]:
+def shot_csv(
+    distribution: DetectionDistribution, n_shots: int, seed: int
+) -> Generator[str, None, ClickCounts]:
     """The shots of ``sample_distribution`` as CSV text, one chunk at a time.
 
     The header line comes first, then one ``shot_index,outcome_label`` line
-    per shot.
+    per shot.  The generator returns the click counts of the shots it wrote
+    (those of ``sample_distribution``), so a caller that writes the CSV and
+    reports the counts draws each shot once.
     """
     labels, chunks = _shot_ids(distribution, n_shots, seed)
+    tally = np.zeros(len(labels), dtype=np.int64)
     yield "shot_index,outcome_label\n"
     start = 0
     for ids in chunks:
+        tally += np.bincount(ids, minlength=len(labels))
         yield "".join([f"{k},{labels[i]}\n"
                        for k, i in zip(range(start, start + len(ids)), ids.tolist())])
         start += len(ids)
+    return _click_counts(labels, tally, n_shots)
 
 
 def sample_shots(config: SchemeConfig, n_shots: int, seed: int) -> ClickCounts:
@@ -193,38 +206,43 @@ def reconstruct_pattern(counts: ClickCounts, config: SchemeConfig) -> Reconstruc
     return ReconstructedImage(tuple(verdicts))
 
 
-def _fit_single_transmission(
-    fh: float, fv: float, theta: float, n_cycles: int
-) -> tuple[float, np.ndarray]:
-    """Least-squares fit of one pixel's transmission to observed fractions.
+def _fit_transmissions(
+    fh: np.ndarray, fv: np.ndarray, theta: float, n_cycles: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of the pixels' transmissions to observed fractions.
 
-    ``fh``/``fv`` are the pixel's click fractions rescaled to unit pixel
-    weight; the implied absorbed fraction completes the triple.  A 101-point
-    scan over [0, 1] brackets the global minimum; each zoom rescans the
-    bracket between the best point's neighbours on a grid centred exactly
+    ``fh``/``fv`` hold each pixel's click fractions rescaled to unit pixel
+    weight; the implied absorbed fraction completes each triple.  A 101-point
+    scan over [0, 1] brackets each pixel's global minimum; each zoom rescans
+    the bracket between the best point's neighbours on a grid centred exactly
     on that point (so the loss never rises) until the bracket is narrower
-    than 1e-10.  Returns the estimate and the model sensitivity d(model)/dT
-    at the estimate.
+    than 1e-10.  Every pixel takes the same zoom steps, so all pixels are
+    scanned together, one (pixels x grid) model evaluation per step, and
+    each pixel's result is that of a scan of its own.  Returns the estimates
+    and, per pixel, the model sensitivity d(model)/dT at the estimate.
     """
-    observed = np.array([fh, fv, 1.0 - fh - fv])
+    observed = np.stack([fh, fv, 1.0 - fh - fv], axis=-1)[:, None, :]
 
-    def model(t: float | np.ndarray) -> np.ndarray:
+    def model(t: np.ndarray) -> np.ndarray:
         ph, pv = analytics.block_probabilities(t, theta, n_cycles)
         return np.stack([ph, pv, 1.0 - ph - pv], axis=-1)
 
-    grid = np.linspace(0.0, 1.0, 101)
-    step = grid[1]
+    scan = np.linspace(0.0, 1.0, 101)
+    grid = np.broadcast_to(scan, (len(fh), len(scan)))
+    step = scan[1]
     offsets = np.arange(-10, 11)
     while True:
-        t_hat = float(grid[np.argmin(np.sum((observed - model(grid)) ** 2, axis=-1))])
+        best = np.argmin(np.sum((observed - model(grid)) ** 2, axis=-1), axis=-1)
+        t_hat = np.take_along_axis(grid, best[:, None], axis=-1)
         if 2 * step < 1e-10:
             break
         step /= 10
         grid = np.clip(t_hat + step * offsets, 0.0, 1.0)
 
+    t_hat = t_hat[:, 0]
     eps = 1e-5
-    hi_t, lo_t = min(t_hat + eps, 1.0), max(t_hat - eps, 0.0)
-    sensitivity = (model(hi_t) - model(lo_t)) / (hi_t - lo_t)
+    hi_t, lo_t = np.minimum(t_hat + eps, 1.0), np.maximum(t_hat - eps, 0.0)
+    sensitivity = (model(hi_t) - model(lo_t)) / (hi_t - lo_t)[:, None]
     return t_hat, sensitivity
 
 
@@ -233,29 +251,28 @@ def estimate_transmissions(counts: ClickCounts, config: SchemeConfig) -> Reconst
 
     Each pixel is fit independently against the single-block closed form
     (the cycling evolution is block diagonal in the OAM value, so no joint
-    fit is needed).  The folded scheme's counts are read with h and v
-    exchanged, as in ``reconstruct_pattern``; kinds without per-pixel h and
-    v detectors are rejected.  Verdicts are the binary reading of the same
-    counts; pixels without any clicks are marked unknown and get no
-    estimate.  Intervals are approximate 95 percent ranges from binomial
-    error propagation through the fit sensitivity.
+    fit is needed), all pixels in one scan.  The folded scheme's counts are
+    read with h and v exchanged, as in ``reconstruct_pattern``; kinds
+    without per-pixel h and v detectors are rejected.  Verdicts are the
+    binary reading of the same counts; pixels without any clicks are marked
+    unknown and get no estimate.  Intervals are approximate 95 percent
+    ranges from binomial error propagation through the fit sensitivity.
     """
     if not config.spec.per_pixel_hv:
         raise ValueError(f"{config.kind} has no per-pixel polarisation detectors to fit")
     hv = _hv_clicks(counts, config)
     d = config.d
     n = counts.total
-    theta = config.cycle_rotation
+    nh_all, nv_all = np.array(hv, dtype=np.int64).T
+    t_fit, sensitivity = _fit_transmissions(d * nh_all / n, d * nv_all / n,
+                                            config.cycle_rotation, config.n_cycles)
     t_hats: list[float | None] = []
     intervals: list[tuple[float, float] | None] = []
-    for nh, nv in hv:
+    for (nh, nv), t_hat, j in zip(hv, t_fit.tolist(), sensitivity):
         if nh + nv == 0:
             t_hats.append(None)
             intervals.append(None)
             continue
-        fh = d * nh / n
-        fv = d * nv / n
-        t_hat, j = _fit_single_transmission(fh, fv, theta, config.n_cycles)
         # Binomial variances of the rescaled fractions; the absorbed
         # fraction is implied, so the sum of the other two stands in.
         var_h = d**2 * (nh / n) * (1 - nh / n) / n

@@ -208,6 +208,56 @@ class TestCmdRun:
         assert "oracle fault" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("where", ["trace", "analytic"])
+    def test_non_finite_value_leaves_out_file_as_it_was(self, monkeypatch, tmp_path, capsys,
+                                                         where):
+        # The trace is streamed into --out, so it is checked before the
+        # file is opened; so is every field outside it.
+        if where == "trace":
+            def run_scheme_with_nan(config):
+                result = run_scheme(config)
+                survival = result.trace.survival.copy()
+                survival[-1] = float("nan")
+                return result._replace(trace=SchemeTrace(survival, result.trace.p_abs_cycle))
+
+            monkeypatch.setattr(cli, "run_scheme", run_scheme_with_nan)
+        else:
+            monkeypatch.setattr(cli, "_analytic_block", lambda config: {"p_abs": float("inf")})
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        argv = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "5000",
+                "--pattern", "10"]
+        for extra in (["--out", str(out)], []):
+            code = main(argv + extra)
+            captured = capsys.readouterr()
+            assert code == EXIT_NUMERIC
+            assert "non-finite" in captured.err
+            assert captured.out == ""
+        assert out.read_text() == "earlier report\n"
+
+    def test_memory_does_not_grow_with_cycle_count(self, tmp_path):
+        # Peak RSS of a whole command in a fresh interpreter, which reports
+        # it.  The trace is written a block of rows at a time, so only its
+        # two float64 columns (4.6 MB at N = 300 000) grow with N.
+        code = (
+            "import resource, sys\n"
+            "from ifmsim.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def peak_mb(n_cycles):
+            argv = ["run", "--scheme", "multipixel-zeno", "--d", "4", "--N", str(n_cycles),
+                    "--pattern", "1010", "--out", str(tmp_path / "run.json")]
+            proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return float(proc.stdout)
+
+        assert peak_mb(300_000) - peak_mb(10_000) < 40.0
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scheme", "ev-single-pass", "--d", "1", "--N", "0", "--pattern", "1"],
         ["run", "--scheme", "ev-single-pass", "--d", "1", "--N", "-1", "--pattern", "1"],
@@ -449,11 +499,38 @@ class TestCmdShots:
         assert tally.pop(experiment.ABSORBED, 0) == counts.absorbed
         assert tally == collections.Counter({k: v for k, v in counts.counts.items() if v})
 
+    def test_csv_draws_each_shot_once(self, monkeypatch, tmp_path):
+        # The report's counts are the tally of the CSV's own shots.
+        draws = []
+        shot_ids = experiment._shot_ids
+
+        def recording(*args):
+            draws.append(args)
+            return shot_ids(*args)
+
+        monkeypatch.setattr(experiment, "_shot_ids", recording)
+        out = tmp_path / "clicks.csv"
+        assert main(["shots", "--scheme", "multipixel-zeno", "--d", "4", "--N", "100",
+                     "--pattern", "1010", "--shots", "100000", "--seed", "1",
+                     "--format", "csv", "--out", str(out)]) == EXIT_OK
+        assert len(draws) == 1
+        lines = out.read_text().splitlines()
+        assert len(lines) == 100_001
+
+    def test_csv_exit_code_follows_the_report(self, capsys):
+        # One shot cannot image four pixels, so the report built from the
+        # CSV's tally does not match the pattern.
+        code = main(["shots", "--scheme", "multipixel-zeno", "--d", "4", "--N", "10",
+                     "--pattern", "1010", "--shots", "1", "--seed", "0", "--format", "csv"])
+        assert code == EXIT_MISMATCH
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_unwritable_csv_out_fails_before_sampling(self, monkeypatch, tmp_path, capsys):
         def sample_distribution(*args):
             raise AssertionError("shots were drawn before --out was opened")
 
         monkeypatch.setattr(experiment, "sample_distribution", sample_distribution)
+        monkeypatch.setattr(experiment, "_shot_ids", sample_distribution)
         code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
                      "--pattern", "10", "--shots", "1000", "--format", "csv",
                      "--out", str(tmp_path / "missing" / "clicks.csv")])
@@ -614,6 +691,22 @@ class TestJsonReport:
             report, expected = {"nested": [report]}, {"nested": [expected]}
         assert cli._json_report(report) == reference_report(expected)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_trace_block_boundaries(self, offset):
+        # N = B - 1, B, B + 1 and 2B + 1 rows.  Rows that take the exact
+        # path (0, 1, a subnormal) open and close every block.
+        b = cli.TRACE_BLOCK_ROWS
+        n = 2 * b + 1 if offset is None else b + offset
+        rng = np.random.default_rng(n)
+        survival, p_abs_cycle = rng.random(n), rng.random(n) * 1e-3
+        exact = [0.0, 1.0, 5e-324]
+        for k in {0, b - 1, b, 2 * b - 1, 2 * b, n - 1}:
+            if k < n:
+                survival[k], p_abs_cycle[k] = exact[k % 3], exact[(k + 1) % 3]
+        trace = SchemeTrace(survival, p_abs_cycle)
+        expected = reference_report({"trace": trace_rows(survival.tolist(), p_abs_cycle.tolist())})
+        assert cli._json_report({"trace": trace}) == expected
+
     def test_empty_trace(self):
         assert cli._json_report({"trace": SchemeTrace((), ())}) == '{\n  "trace": []\n}\n'
 
@@ -639,14 +732,16 @@ class TestJsonReport:
         ["verify", "--format", "json"],
     ])
     def test_command_reports(self, monkeypatch, capsys, argv):
+        # Every command writes its JSON report through _emit_json, which
+        # streams it; the text must be that of the report it was given.
         reports = []
-        write = cli._json_report
+        emit = cli._emit_json
 
-        def recording(report):
+        def recording(report, out):
             reports.append(report)
-            return write(report)
+            emit(report, out)
 
-        monkeypatch.setattr(cli, "_json_report", recording)
+        monkeypatch.setattr(cli, "_emit_json", recording)
         assert main(argv) == EXIT_OK
         assert len(reports) == 1
         assert capsys.readouterr().out == reference_report(reports[0])

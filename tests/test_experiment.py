@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmsim import analytics, experiment
+from ifmsim import analytics, core, experiment
 from ifmsim.core import DetectionDistribution, PixelPattern
 from ifmsim.experiment import (
     CHUNK,
+    UNKNOWN,
     ClickCounts,
     estimate_transmissions,
     reconstruct_pattern,
@@ -295,6 +296,49 @@ class TestReconstruction:
         assert successes >= 99
 
 
+def per_pixel_fit(fh, fv, theta, n_cycles):
+    """One pixel's zooming grid scan, as ``estimate_transmissions`` ran it pixel by pixel."""
+    observed = np.array([fh, fv, 1.0 - fh - fv])
+
+    def model(t):
+        ph, pv = analytics.block_probabilities(t, theta, n_cycles)
+        return np.stack([ph, pv, 1.0 - ph - pv], axis=-1)
+
+    grid = np.linspace(0.0, 1.0, 101)
+    step = grid[1]
+    while True:
+        t_hat = float(grid[np.argmin(np.sum((observed - model(grid)) ** 2, axis=-1))])
+        if 2 * step < 1e-10:
+            break
+        step /= 10
+        grid = np.clip(t_hat + step * np.arange(-10, 11), 0.0, 1.0)
+    hi_t, lo_t = min(t_hat + 1e-5, 1.0), max(t_hat - 1e-5, 0.0)
+    return t_hat, (model(hi_t) - model(lo_t)) / (hi_t - lo_t)
+
+
+def per_pixel_estimates(counts, config):
+    """``estimate_transmissions`` with one scan per pixel."""
+    d, n = config.d, counts.total
+    hv = experiment._hv_clicks(counts, config)
+    t_hats, intervals = [], []
+    for nh, nv in hv:
+        if nh + nv == 0:
+            t_hats.append(None)
+            intervals.append(None)
+            continue
+        t_hat, j = per_pixel_fit(d * nh / n, d * nv / n, config.cycle_rotation, config.n_cycles)
+        var_h = d**2 * (nh / n) * (1 - nh / n) / n
+        var_v = d**2 * (nv / n) * (1 - nv / n) / n
+        jj = float(np.dot(j, j))
+        var_t = float(np.sum((j / jj) ** 2 * np.array([var_h, var_v, var_h + var_v]))) \
+            if jj > 0 else np.inf
+        half = 1.96 * float(np.sqrt(var_t))
+        t_hats.append(t_hat)
+        intervals.append((max(0.0, t_hat - half), min(1.0, t_hat + half)))
+    verdicts = tuple(experiment._hv_verdict(nh, nv) for nh, nv in hv)
+    return experiment.ReconstructedImage(verdicts, tuple(t_hats), tuple(intervals))
+
+
 class TestTransmissionEstimation:
     def test_opaque_pixel_estimate_near_zero(self):
         cfg = SchemeConfig("semitransparent-zeno", PixelPattern((0.0,)), 100)
@@ -363,10 +407,32 @@ class TestTransmissionEstimation:
     @pytest.mark.parametrize("n_cycles", [2, 16, 128])
     def test_noiseless_fractions_invert_exactly(self, n_cycles):
         theta = np.pi / (2 * n_cycles)
-        for t in np.linspace(0.0, 1.0, 41):
-            ph, pv = analytics.block_probabilities(float(t), theta, n_cycles)
-            t_hat, _ = experiment._fit_single_transmission(ph, pv, theta, n_cycles)
-            assert abs(t_hat - t) <= 1e-9, (n_cycles, t, t_hat)
+        t = np.linspace(0.0, 1.0, 41)
+        ph, pv = analytics.block_probabilities(t, theta, n_cycles)
+        t_hat, _ = experiment._fit_transmissions(ph, pv, theta, n_cycles)
+        assert np.max(np.abs(t_hat - t)) <= 1e-9, (n_cycles, t_hat - t)
+
+    def test_one_scan_over_all_pixels_equals_a_scan_per_pixel(self):
+        # Random objects and counts, some pixels without clicks; the joint
+        # scan must reproduce each pixel's own scan bit for bit.
+        rng = np.random.default_rng(12)
+        for case in range(60):
+            d = int(rng.integers(1, 9))
+            kind = ("multipixel-zeno", "michelson-zeno")[case % 2]
+            pattern = PixelPattern(tuple(rng.choice([0.0, 1.0, *rng.random(3)], size=d)))
+            cfg = SchemeConfig(kind, pattern, int(rng.integers(1, 129)))
+            clicks = {core.pol_detector_label(ell, pol): int(rng.integers(0, 50))
+                      for ell in range(d) for pol in (core.POL_H, core.POL_V)
+                      if rng.random() < 0.8}
+            absorbed = int(rng.integers(1, 100))
+            counts = counts_from(cfg, clicks, total=sum(clicks.values()) + absorbed)
+            assert estimate_transmissions(counts, cfg) == per_pixel_estimates(counts, cfg), cfg
+
+    def test_no_pixel_clicked(self):
+        cfg = SchemeConfig("multipixel-zeno", PixelPattern((0.5, 1.0)), 20)
+        image = estimate_transmissions(counts_from(cfg, {}, total=7), cfg)
+        assert image == experiment.ReconstructedImage((UNKNOWN, UNKNOWN), (None, None),
+                                                      (None, None))
 
     def test_package_imports_and_fits_without_scipy(self):
         # Blocking scipy makes any import of it fail, so this proves the
