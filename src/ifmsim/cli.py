@@ -354,7 +354,8 @@ def _trace_blocks(trace: SchemeTrace, indent: str) -> Iterator[str]:
     whose ``%.15g`` text may differ from ``_json_float`` (one within 1e-14 of
     an integer, including 0 and -0, a subnormal, or one at or above 1e14)
     takes the template's ``%s`` form with ``_json_float`` text instead, so
-    the text is the same.
+    the text is the same.  That text is made once per value and block: a
+    unitary run repeats 0.0 and 1.0 on every row.
     """
     inner = indent + "  "
     field = inner + "  "
@@ -374,10 +375,16 @@ def _trace_blocks(trace: SchemeTrace, indent: str) -> Iterator[str]:
         values: list = [None] * (3 * len(rows))
         values[0::3] = range(start + 1, stop + 1)
         values[1::3], values[2::3] = columns.tolist()
-        for k in np.flatnonzero(~plain.all(axis=0)).tolist():
+        exact = np.flatnonzero(~plain.all(axis=0))
+        # Keyed by the bits of the value, which tell -0.0 from 0.0.
+        texts: dict[int, str] = {}
+        for k, *keys in zip(exact.tolist(), *columns[:, exact].view(np.int64).tolist()):
             rows[k] = exact_row
-            values[3 * k + 1] = _json_float(values[3 * k + 1])
-            values[3 * k + 2] = _json_float(values[3 * k + 2])
+            for at, key in enumerate(keys, 3 * k + 1):
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = _json_float(values[at])
+                values[at] = text
         yield head + sep.join(rows) % tuple(values)
         head = sep
     yield f"\n{indent}]"

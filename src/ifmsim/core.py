@@ -20,7 +20,14 @@ than the O(D^2) of a dense matrix; :func:`compose` multiplies gather forms
 and keeps K small.  A gather form carries its own length, so an element
 restricted to the amplitudes a run reaches (:func:`reachable`,
 :meth:`ElementOp.restrict`) and its powers (:func:`doublings`) are
-elements too.
+elements too.  :func:`doublings` squares a form block by block: over the
+amplitudes its terms connect (on a restricted cycle, one 2x2 block per
+pixel that is not opaque), with no merge of terms.
+
+What a run takes from d alone is built once per d and shared: the
+elements fixed by d, the input state, and the gather index of the
+rotator and of the attenuator, whose coefficients alone are built per
+run.  Every shared array is read-only.
 """
 
 from __future__ import annotations
@@ -114,11 +121,20 @@ def basis_state(d: int, pol: int, ell: int, mode: int) -> PhotonState:
     return PhotonState(d, amps)
 
 
+# Elements fixed by d alone are immutable, so each is built once per d and
+# shared by every scheme that uses it; so are the input state and the gather
+# index of the elements whose coefficients change from run to run.  Each
+# cache holds the values of its last 16 arguments.
+_per_d = functools.lru_cache(maxsize=16)
+
+
+@_per_d
 def make_initial_state(d: int, mode: int) -> PhotonState:
     """Input photon on spatial mode ``mode``: H-polarised, equal OAM superposition.
 
     The single-pass interferometers take it on mode 0, the cycling (Zeno)
-    schemes on the reference mode d.
+    schemes on the reference mode d.  The state is immutable, so each one
+    is built once and shared.
     """
     if d < 1:
         raise ValueError(f"pixel count must be >= 1, got d={d}")
@@ -127,6 +143,11 @@ def make_initial_state(d: int, mode: int) -> PhotonState:
     amps = np.zeros((2, d, d + 1), dtype=np.complex128)
     amps[POL_H, :, mode] = 1.0 / np.sqrt(d)
     return PhotonState(d, amps)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +172,12 @@ class ElementOp:
 
     def __post_init__(self) -> None:
         n = space_dim(self.d) if self.dim is None else self.dim
-        index = np.array(self.index, dtype=np.intp)
-        # A read-only coefficient array is kept as given: a permutation
-        # shares one broadcast 1.0 instead of a column of ones.
+        # Read-only arrays are kept as given: the elements of one d share
+        # their index, and a permutation one broadcast 1.0 instead of a
+        # column of ones.
+        index = np.asarray(self.index, dtype=np.intp)
+        if index.flags.writeable:
+            index = index.copy()
         coeff = np.asarray(self.coeff, dtype=np.complex128)
         if coeff.flags.writeable:
             coeff = coeff.copy()
@@ -161,7 +185,8 @@ class ElementOp:
                 or coeff.shape != index.shape:
             raise ValueError(f"gather form must be two (K, {n}) arrays for d={self.d}, "
                              f"got {index.shape} and {coeff.shape}")
-        if index.min() < 0 or index.max() >= n:
+        # A negative index reads as a large unsigned one.
+        if index.view(np.uintp).max() >= n:
             raise ValueError(f"gather index outside the {n} basis states")
         index.setflags(write=False)
         coeff.setflags(write=False)
@@ -229,7 +254,10 @@ def _merge_terms(index: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.n
     merged_index = np.repeat(index[:1], width, axis=0)
     merged_coeff = np.zeros((width, index.shape[1]), dtype=coeff.dtype)
     merged_index[slot, cols] = index
-    np.add.at(merged_coeff, (slot, cols), coeff)
+    # Row by row, each output amplitude adds its terms in the sorted order,
+    # and no row writes one slot twice.
+    for row_slot, row_coeff in zip(slot, coeff):
+        merged_coeff[row_slot, cols] += row_coeff
     return merged_index, merged_coeff
 
 
@@ -292,8 +320,54 @@ def reachable(op: ElementOp, vec: np.ndarray, steps: int) -> np.ndarray:
     return np.flatnonzero(live)
 
 
+def _block_form(op: ElementOp) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` in gather form over its blocks: index and ``np.clongdouble`` coefficients.
+
+    A block is a set of amplitudes that terms with non-zero coefficients
+    connect, so every power of ``op`` maps each block into itself.  With b
+    the size of the largest block, term k of every amplitude reads the
+    k-th amplitude of its block, in increasing order; a smaller block
+    repeats its first amplitude, with a zero coefficient.
+    """
+    n = op.dim
+    live = op.coeff != 0
+    reader, source = np.nonzero(live)[1], op.index[live]
+    ends, other_ends = np.concatenate((reader, source)), np.concatenate((source, reader))
+    # Each amplitude's root, the smallest amplitude of its block: the least
+    # root at either end of a connection, until both ends of each agree.
+    root = np.arange(n)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, ends, root[other_ends])
+        root = low[low]
+        if (root[ends] == root[other_ends]).all():
+            break
+    # Blocks are numbered by root; within one, amplitudes by index.
+    order = np.argsort(root, kind="stable")
+    grouped = root[order]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n) - np.searchsorted(grouped, grouped)
+    columns = np.arange(n)
+    members = np.repeat(columns[:, None], position.max() + 1, axis=1)
+    members[root, position] = columns
+    index = _read_only(np.ascontiguousarray(members[root].T))
+    coeff = np.zeros(index.shape, dtype=np.clongdouble)
+    # A term that reads outside the block has a zero coefficient, so adding
+    # it at the slot of its source's position leaves every value as it is.
+    for source, term in zip(op.index, op.coeff):
+        coeff[position[source], columns] += term
+    return index, coeff
+
+
 def doublings(op: ElementOp, count: int) -> list[ElementOp]:
     """``op`` and its next ``count - 1`` squares: op, op^2, op^4, ...
+
+    The squares are taken over ``op``'s blocks (``_block_form``): every
+    power reads, for each amplitude, the amplitudes of its block in the
+    same order, so a square is one gather, one product and one sum over
+    the block, and keeps the index.  A power has as many terms as the
+    largest block has amplitudes: two on a cycling scheme, one where every
+    pixel is opaque.
 
     Squares rounded to double at every step carry an error that doubles
     with each squaring (Higham, *Accuracy and Stability of Numerical
@@ -307,10 +381,17 @@ def doublings(op: ElementOp, count: int) -> list[ElementOp]:
     reference grew up to 2.5 times.
     """
     powers = [op]
-    index, coeff = op.index, op.coeff.astype(np.clongdouble)
+    if count < 2:
+        return powers
+    index, coeff = _block_form(op)
     for j in range(1, count):
-        index, coeff = _then(index, coeff, index, coeff)
-        powers.append(ElementOp(f"({op.label})^{2**j}", op.d, index, coeff, op.dim))
+        # Term s of amplitude i sums, over the amplitudes m of its block,
+        # what m reads from the s-th amplitude times what i reads from m.
+        # ``_then`` multiplies in that order, so each square equals the
+        # merged product of the form with itself.
+        coeff = (coeff[:, index] * coeff).sum(axis=1)
+        powers.append(ElementOp(f"({op.label})^{2**j}", op.d, index,
+                                _read_only(coeff.astype(np.complex128)), op.dim))
     return powers
 
 
@@ -343,9 +424,8 @@ def permutation_op(
 
 def diagonal_op(d: int, factors: np.ndarray, label: str) -> ElementOp:
     """Element that multiplies each basis amplitude by a fixed factor."""
-    n = space_dim(d)
     factors = np.asarray(factors, dtype=np.complex128).reshape(1, -1)
-    return ElementOp(label, d, np.arange(n)[None], factors)
+    return ElementOp(label, d, _diagonal_index(d), factors)
 
 
 def block_op(d: int, block: np.ndarray, first: np.ndarray, second: np.ndarray,
@@ -375,9 +455,21 @@ def _sites(d: int) -> np.ndarray:
 # Element constructors
 # ---------------------------------------------------------------------------
 
-# Elements fixed by d alone are immutable, so each is built once per d and
-# shared by every scheme that uses it.
-_per_d = functools.lru_cache(maxsize=16)
+@_per_d
+def _diagonal_index(d: int) -> np.ndarray:
+    """Gather index of a diagonal: every amplitude reads itself."""
+    return _read_only(np.arange(space_dim(d))[None])
+
+
+@_per_d
+def _hv_pair_index(d: int) -> np.ndarray:
+    """Gather index of a 2x2 block on every (H, V) pair of amplitudes.
+
+    The H amplitudes fill the first half of the flat vector and the V
+    amplitudes the second, so amplitude i of either half reads amplitude i
+    of each half.
+    """
+    return _read_only(np.tile(np.arange(space_dim(d)).reshape(2, -1), 2))
 
 
 @_per_d
@@ -418,8 +510,10 @@ def polarisation_rotator(theta: float, d: int) -> ElementOp:
     """
     c, s = np.cos(theta), np.sin(theta)
     block = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    sites = _sites(d)
-    return block_op(d, block, sites[POL_H].ravel(), sites[POL_V].ravel(), f"R({theta:.6g})")
+    # Term k of an H amplitude reads it (k = 0) or its V partner (k = 1)
+    # with block[0, k]; term k of a V amplitude does with block[1, k].
+    coeff = np.repeat(block.T, space_dim(d) // 2, axis=1)
+    return ElementOp(f"R({theta:.6g})", d, _hv_pair_index(d), coeff)
 
 
 @_per_d

@@ -141,12 +141,16 @@ def shot_csv(
     """
     labels, chunks = _shot_ids(distribution, n_shots, seed)
     tally = np.zeros(len(labels), dtype=np.int64)
+    # Each line is a shot index, then its outcome's ",label\n" from this table.
+    tails = [f",{label}\n" for label in labels]
     yield "shot_index,outcome_label\n"
     start = 0
     for ids in chunks:
         tally += np.bincount(ids, minlength=len(labels))
-        yield "".join([f"{k},{labels[i]}\n"
-                       for k, i in zip(range(start, start + len(ids)), ids.tolist())])
+        pieces = [""] * (2 * len(ids))
+        pieces[0::2] = map(str, range(start, start + len(ids)))
+        pieces[1::2] = map(tails.__getitem__, ids.tolist())
+        yield "".join(pieces)
         start += len(ids)
     return _click_counts(labels, tally, n_shots)
 

@@ -23,10 +23,21 @@ that support, in blocks of ``BLOCK_ROWS`` rows, and give the survival
 trace; the last state goes back into the full space for the switch-out
 and the detectors.  Every cycle count and every kind runs through this one
 path.
+
+A run builds only what depends on its angle and its object: the rotator's
+and the attenuator's coefficients.  What it takes from (kind, d) alone is
+built on first use and shared by later runs of that (kind, d): the
+elements fixed by d and the input state (``core``), the detector map, and
+the product of each run of elements fixed by d in the cycle (its stages,
+``BuiltScheme.cycle_stages``).  The products are keyed by the element
+objects, so a replaced element is composed afresh.  A process gains from
+this when it runs the same (kind, d) again, as a benchmark stream or a
+sweep does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -193,12 +204,21 @@ class SchemeTrace:
 
 @dataclass(frozen=True)
 class BuiltScheme:
-    """Element sequence and readout of one experiment."""
+    """Element sequence and readout of one experiment.
 
-    cycle_elements: tuple[ElementOp, ...]
+    ``cycle_stages`` is the cycle in the stages that ``run_scheme``
+    composes: a stage of several elements is a run of elements fixed by d,
+    composed once for each run of element objects (``_stage_product``).
+    """
+
+    cycle_stages: tuple[tuple[ElementOp, ...], ...]
     switch_out: tuple[ElementOp, ...]
     n_cycles: int
     detector_map: DetectorMap
+
+    @property
+    def cycle_elements(self) -> tuple[ElementOp, ...]:
+        return tuple(op for stage in self.cycle_stages for op in stage)
 
     @property
     def applications(self) -> int:
@@ -217,15 +237,17 @@ def encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
 
     The folded scheme adds its arm mirror stage behind the object.
     """
+    return tuple(op for stage in _encoder_stages(config) for op in stage)
+
+
+def _encoder_stages(config: SchemeConfig) -> tuple[tuple[ElementOp, ...], ...]:
+    """The encoder in three stages: before the object, the object, behind it."""
     d = config.d
     mirrors = (core.arm_mirrors(d),) if config.spec.layout == FOLDED else ()
     return (
-        core.oam_sorter(d),
-        core.oam_converter(d),
-        core.object_attenuator(config.pattern, "pixel-paths"),
-        *mirrors,
-        core.oam_converter(d, inverse=True),
-        core.oam_sorter(d, inverse=True),
+        (core.oam_sorter(d), core.oam_converter(d)),
+        (core.object_attenuator(config.pattern, "pixel-paths"),),
+        (*mirrors, core.oam_converter(d, inverse=True), core.oam_sorter(d, inverse=True)),
     )
 
 
@@ -257,6 +279,17 @@ def _pol_detector_map(d: int) -> DetectorMap:
     return DetectorMap.from_groups(d, groups)
 
 
+@functools.lru_cache(maxsize=64)
+def _detector_map(kind: str, d: int) -> DetectorMap:
+    """The detector map of ``kind`` at ``d``, under the kind's labels."""
+    spec = KINDS[kind]
+    dmap = _port_detector_map(d) if spec.single_pass else _pol_detector_map(d)
+    if not spec.names:
+        return dmap
+    return DetectorMap(d, tuple(spec.names.get(label, label) for label in dmap.labels),
+                       dmap.assignment)
+
+
 def build_scheme(config: SchemeConfig) -> BuiltScheme:
     """Ordered element list and detector map for ``config``.
 
@@ -265,46 +298,38 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     port) directly.  A single-pixel kind is built as its multi-pixel kind
     at d = 1, with the detector labels renamed (``Kind.names``).  The folded
     layout's h/v exchange comes from its Pockels switch-out, not from a
-    renaming.
+    renaming.  The ports join the encoder's first and last stages.
     """
     d = config.d
-    theta = config.effective_theta
     spec = config.spec
+    dmap = _detector_map(config.kind, d)
+    port = core.beam_splitter(d) if spec.single_pass else core.polarising_beam_splitter(d)
+    before, target, behind = _encoder_stages(config)
+    stages = ((port, *before), target, (*behind, port))
     if spec.single_pass:
-        elements = (core.beam_splitter(d), *encoder_elements(config), core.beam_splitter(d))
-        return BuiltScheme(elements, (), 1, _renamed(_port_detector_map(d), spec.names))
+        return BuiltScheme(stages, (), 1, dmap)
 
-    dmap = _renamed(_pol_detector_map(d), spec.names)
+    rotator = (core.polarisation_rotator(config.effective_theta, d),)
     if spec.layout == FOLDED:
-        cycle = (
-            core.polarisation_rotator(theta, d),
-            core.mirror_reflect("retro", d),
-            core.polarisation_rotator(theta, d),
-            core.polarising_beam_splitter(d),
-            *encoder_elements(config),
-            core.polarising_beam_splitter(d),
-        )
-        return BuiltScheme(cycle, (core.pockels_flip(d),), config.n_cycles, dmap)
-
-    cycle = (
-        core.polarisation_rotator(theta, d),
-        core.polarising_beam_splitter(d),
-        *encoder_elements(config),
-        core.polarising_beam_splitter(d),
-    )
-    return BuiltScheme(cycle, (), config.n_cycles, dmap)
+        return BuiltScheme((rotator, (core.mirror_reflect("retro", d),), rotator, *stages),
+                           (core.pockels_flip(d),), config.n_cycles, dmap)
+    return BuiltScheme((rotator, *stages), (), config.n_cycles, dmap)
 
 
-def _renamed(dmap: DetectorMap, names: Mapping[str, str]) -> DetectorMap:
-    """``dmap`` with the labels in ``names`` renamed."""
-    labels = tuple(names.get(label, label) for label in dmap.labels)
-    return DetectorMap(dmap.d, labels, dmap.assignment) if names else dmap
+@functools.lru_cache(maxsize=64)
+def _stage_product(stage: tuple[ElementOp, ...]) -> ElementOp:
+    """One element for a stage of elements fixed by d, composed once.
+
+    The key is the tuple of element objects (an ``ElementOp`` hashes by
+    identity), so a stage holding a new element is composed afresh.
+    """
+    return core.compose(stage)
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    The cycle's elements are composed once and restricted to the
+    The cycle's stages are composed once and restricted to the
     amplitudes the input reaches within ``n_cycles`` cycles (at most 2d of
     the 2d(d+1) on a cycling scheme).  The states after cycles 1..N are
     then built by doubling (``_evolve``).  The last state goes back into
@@ -314,7 +339,8 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     applications so far reads as 1 in the trace and the readout.
     """
     built = build_scheme(config)
-    cycle = core.compose(built.cycle_elements, label="cycle")
+    cycle = core.compose([stage[0] if len(stage) == 1 else _stage_product(stage)
+                          for stage in built.cycle_stages], label="cycle")
     start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
     support = core.reachable(cycle, start, built.n_cycles)
     survival, last = _evolve(cycle.restrict(support), start[support], built.n_cycles)

@@ -1,11 +1,12 @@
 """Element-level tests: actions, inverses, norm behaviour, detection."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ifmsim import core
+from ifmsim import core, schemes
 from ifmsim.core import (
     POL_H,
     POL_V,
@@ -18,6 +19,7 @@ from ifmsim.core import (
     make_initial_state,
     space_dim,
 )
+from ifmsim.schemes import KINDS
 
 
 def random_state(rng, d, normalized=True):
@@ -521,6 +523,39 @@ def zeno_cycle(d, theta, transmissions):
             core.polarising_beam_splitter(d)]
 
 
+def merged_terms(index, coeff):
+    """Terms that read one source merged by sorting them and summing with
+    ``np.add.at``, as ``compose`` merged them before row-wise sums."""
+    cols = np.arange(index.shape[1])
+    order = np.argsort(index, axis=0, kind="stable")
+    index, coeff = index[order, cols], coeff[order, cols]
+    new_source = np.empty(index.shape, dtype=bool)
+    new_source[0] = True
+    new_source[1:] = index[1:] != index[:-1]
+    slot = new_source.cumsum(axis=0) - 1
+    width = int(slot[-1].max()) + 1
+    merged_index = np.repeat(index[:1], width, axis=0)
+    merged_coeff = np.zeros((width, index.shape[1]), dtype=coeff.dtype)
+    merged_index[slot, cols] = index
+    np.add.at(merged_coeff, (slot, cols), coeff)
+    return merged_index, merged_coeff
+
+
+def merged_doublings(op, count):
+    """``core.doublings`` as it was before block squaring: each square
+    substitutes the form into itself and merges the terms that read one
+    source (``merged_terms``)."""
+    powers = [op]
+    index, coeff = op.index, op.coeff.astype(np.clongdouble)
+    n = index.shape[1]
+    for j in range(1, count):
+        squared = (index[:, index].reshape(-1, n),
+                   (coeff[:, index] * coeff).reshape(-1, n))
+        index, coeff = merged_terms(*squared) if len(index) > 1 else squared
+        powers.append(core.ElementOp(f"({op.label})^{2**j}", op.d, index, coeff, op.dim))
+    return powers
+
+
 class TestRestrictedForms:
     def test_reachable_support_and_restricted_cycle(self):
         rng = np.random.default_rng(23)
@@ -555,6 +590,56 @@ class TestRestrictedForms:
             assert power.dim == restricted.dim and power.index.shape[0] <= 2
             reference = np.linalg.matrix_power(restricted.matrix, 2**j)
             assert np.max(np.abs(power.matrix - reference)) <= 1e-15 * 2**j
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_block_squares_equal_merged_squares_bit_for_bit(self, kind):
+        rng = np.random.default_rng(sorted(KINDS).index(kind))
+        sizes = (1,) if not KINDS[kind].per_pixel else (1, 2, 5, 12)
+        for d in sizes:
+            objects = [PixelPattern.opaque(d), PixelPattern.transparent(d),
+                       PixelPattern.from_bits(rng.integers(0, 2, size=d)),
+                       PixelPattern(tuple(rng.choice([0.0, 1.0, 0.3, 0.77, 0.05], size=d)))]
+            for pattern, n_cycles in itertools.product(objects, (1, 2, 3, 255, 256, 257, 2048)):
+                config = schemes.SchemeConfig(kind, pattern, n_cycles)
+                cycle = core.compose(schemes.build_scheme(config).cycle_elements)
+                start = make_initial_state(d, 0 if config.spec.single_pass else d).flat
+                restricted = cycle.restrict(core.reachable(cycle, start, n_cycles))
+                vec = [1.0, 1j] @ rng.normal(size=(2, restricted.dim))
+                powers = core.doublings(restricted, 12)
+                for power, reference in zip(powers, merged_doublings(restricted, 12),
+                                            strict=True):
+                    assert np.array_equal(power.matrix, reference.matrix), (config, power)
+                    assert np.array_equal(power.apply_flat(vec), reference.apply_flat(vec))
+
+    def test_doublings_of_a_three_amplitude_block(self):
+        rng = np.random.default_rng(5)
+        unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        # Amplitudes 1, 3 and 4 form the block; 0, 2 and 5 are blocks of
+        # one, each with a padding term that reads amplitude 3 at zero.
+        index = np.array([[0, 1, 2, 1, 1, 5], [3, 3, 3, 3, 3, 3], [0, 4, 2, 4, 4, 3]])
+        coeff = np.zeros((3, 6), dtype=complex)
+        coeff[0, [0, 2, 5]] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+        coeff[:, [1, 3, 4]] = unitary.T
+        op = core.ElementOp("block", 1, index, coeff, dim=6)
+        powers = core.doublings(op, 9)
+        for j, power in enumerate(powers):
+            assert power.index.shape == (3, 6)
+            reference = np.linalg.matrix_power(op.matrix, 2**j)
+            assert np.max(np.abs(power.matrix - reference)) <= 1e-15 * 2**j
+
+    def test_doublings_of_one_form_is_the_form(self):
+        op = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
+        assert core.doublings(op, 1) == [op]
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_row_wise_merge_equals_add_at_merge(self, dtype):
+        rng = np.random.default_rng(8)
+        # Sixteen terms over four sources, so most outputs sum several terms.
+        index = rng.integers(0, 4, size=(16, 500))
+        coeff = (rng.normal(size=(16, 500)) + 1j * rng.normal(size=(16, 500))).astype(dtype)
+        merged, reference = core._merge_terms(index, coeff), merged_terms(index, coeff)
+        assert np.array_equal(merged[0], reference[0])
+        assert merged[1].dtype == dtype and np.array_equal(merged[1], reference[1])
 
     def test_gather_form_of_its_own_length(self):
         op = core.ElementOp("pair", 1, [[1, 0]], [[1.0, 1.0]], dim=2)

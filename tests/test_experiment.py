@@ -46,6 +46,17 @@ def reference_csv(labels, ids):
     return "\n".join(lines) + "\n"
 
 
+def f_string_csv(distribution, n_shots, seed):
+    """The chunks of ``shot_csv`` written with one f-string per shot."""
+    labels, chunks = experiment._shot_ids(distribution, n_shots, seed)
+    yield "shot_index,outcome_label\n"
+    start = 0
+    for ids in chunks:
+        yield "".join([f"{k},{labels[i]}\n"
+                       for k, i in zip(range(start, start + len(ids)), ids.tolist())])
+        start += len(ids)
+
+
 def labels_of(distribution):
     """Outcome labels of a distribution's shots, ``absorbed`` last."""
     return tuple(distribution.probabilities) + ("absorbed",)
@@ -111,6 +122,13 @@ class TestSampling:
     def test_csv_format(self):
         dist = DetectionDistribution({"D0": 1.0}, 0.0)
         assert csv_of(dist, 3, 5) == "shot_index,outcome_label\n0,D0\n1,D0\n2,D0\n"
+
+    def test_csv_chunks_equal_one_f_string_per_shot(self):
+        dist = run_scheme(SchemeConfig("michelson-zeno", PixelPattern((0.4, 1.0, 0.0)), 9)
+                          ).distribution
+        n = 2 * CHUNK + 3
+        chunks = shot_csv(dist, n, seed=11)
+        assert list(chunks) == list(f_string_csv(dist, n, seed=11))
 
     def test_counts_merge(self):
         a = ClickCounts({"x": 3}, 1, 4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ifmsim import analytics, core
+from ifmsim import analytics, core, schemes
 from ifmsim.analytics import AnalyticReport
 from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import (
@@ -449,3 +449,88 @@ class TestSemitransparentTraceClosedForm:
         assert np.max(np.abs(trace.survival - expected)) <= self.SURVIVAL_BOUND
         assert np.max(np.abs(trace.p_abs_cycle - (1.0 - expected / before))) \
             <= self.P_ABS_CYCLE_BOUND
+
+
+def clear_shared_caches():
+    for cached in (core.make_initial_state, core._hv_pair_index, core._diagonal_index,
+                   core.polarising_beam_splitter, core.oam_sorter, schemes._detector_map,
+                   schemes._stage_product):
+        cached.cache_clear()
+
+
+class TestSharedPerKindAndD:
+    """What a run takes from (kind, d) alone is built once and shared."""
+
+    def test_shared_arrays_are_read_only(self):
+        d = 3
+        run_scheme(SchemeConfig("michelson-zeno", PixelPattern.from_bits("101"), 4))
+        shared = [core._hv_pair_index(d), core._diagonal_index(d),
+                  core.make_initial_state(d, d).amps,
+                  schemes._detector_map("michelson-zeno", d).assignment,
+                  core.polarisation_rotator(0.1, d).index,
+                  core.object_attenuator(PixelPattern.opaque(d), "pixel-paths").index]
+        for stage in build_scheme(SchemeConfig("michelson-zeno", PixelPattern.opaque(d))
+                                  ).cycle_stages:
+            if len(stage) > 1:
+                product = schemes._stage_product(stage)
+                shared += [product.index, product.coeff]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
+    def test_only_coefficients_are_built_per_run(self):
+        first = core.polarisation_rotator(0.1, 4)
+        second = core.polarisation_rotator(0.2, 4)
+        assert first.index is second.index is core._hv_pair_index(4)
+        assert core.make_initial_state(4, 4) is core.make_initial_state(4, 4)
+        opaque = core.object_attenuator(PixelPattern.opaque(4), "pixel-paths")
+        assert opaque.index is core.object_attenuator(PixelPattern.transparent(4),
+                                                      "oam-diagonal").index
+        built = build_scheme(SchemeConfig("multipixel-zeno", PixelPattern.opaque(4), 7))
+        again = build_scheme(SchemeConfig("multipixel-zeno", PixelPattern.transparent(4), 9))
+        assert built.detector_map is again.detector_map
+        for stage, other in zip(built.cycle_stages, again.cycle_stages, strict=True):
+            if len(stage) > 1:
+                assert schemes._stage_product(stage) is schemes._stage_product(other)
+
+    def test_stages_hold_the_cycle_in_order(self):
+        for kind in KINDS:
+            d = 2 if KINDS[kind].per_pixel else 1
+            built = build_scheme(SchemeConfig(kind, PixelPattern.from_bits("10"[:d]), 5))
+            assert [len(stage) for stage in built.cycle_stages if len(stage) > 1] == (
+                [3, 4] if KINDS[kind].layout == "folded" else [3, 3])
+            assert len(built.cycle_elements) == sum(map(len, built.cycle_stages))
+            product = core.compose(built.cycle_elements)
+            staged = core.compose([core.compose(stage) for stage in built.cycle_stages])
+            assert np.array_equal(product.matrix, staged.matrix)
+
+    def test_caches_stay_bounded(self):
+        for d in range(1, 40):
+            run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.opaque(d), 2))
+        for cached in (core.make_initial_state, core._hv_pair_index, core._diagonal_index,
+                       schemes._detector_map, schemes._stage_product):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_cold_and_warm_caches_give_the_same_run(self):
+        config = SchemeConfig("michelson-zeno", PixelPattern((0.3, 0.0, 1.0)), 300)
+        warm = run_scheme(config)
+        clear_shared_caches()
+        cold = run_scheme(config)
+        assert np.array_equal(warm.state.flat, cold.state.flat)
+        assert warm.distribution == cold.distribution and warm.trace == cold.trace
+
+    @pytest.mark.parametrize("kind", ["multipixel-zeno", "michelson-zeno",
+                                      "multipixel-single-pass"])
+    def test_replaced_element_changes_the_next_run(self, kind, monkeypatch):
+        config = SchemeConfig(kind, PixelPattern.from_bits("110"), 20)
+        before = run_scheme(config)
+        # A splitter that lets every photon pass.
+        monkeypatch.setattr(core, "polarising_beam_splitter",
+                            lambda d: core.mirror_reflect("retro", d))
+        monkeypatch.setattr(core, "beam_splitter", lambda d: core.mirror_reflect("retro", d))
+        broken = run_scheme(config)
+        assert broken.distribution != before.distribution
+        monkeypatch.undo()
+        after = run_scheme(config)
+        assert after.distribution == before.distribution

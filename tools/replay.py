@@ -2,16 +2,17 @@
 
 Run it from anywhere in a checkout:
 
-    python3 tools/replay.py --parent REV
+    python3 tools/replay.py --parent REV [--seed SEED] [--commands COUNT]
 
 It runs the same commands on two trees: this working tree and revision REV,
 exported with ``git archive`` into a temporary directory (an export, unlike
 a worktree, leaves the repository as it was).  The commands are the first
-200 of each workload stream in ``perfbench/workloads.py`` with seed 1, then
-four ``run`` commands whose cycle trace holds edge values (a unitary run,
-where every survival is 1.0 and every absorption 0.0, a long run, a
-64-pixel semi-transparent run and a run one cycle past the engine's block
-of trace rows), then ``--help`` for the top level and for each subcommand.
+``--commands`` (200) of each workload stream in ``perfbench/workloads.py``
+with seed ``--seed`` (1), then four ``run`` commands whose cycle trace
+holds edge values (a unitary run, where every survival is 1.0 and every
+absorption 0.0, a long run, a 64-pixel semi-transparent run and a run one
+cycle past the engine's block of trace rows), then ``--help`` for the top
+level and for each subcommand.
 Each tree runs them in its own interpreter, through ``ifmsim.cli.main``
 in-process, as the benchmark does.  The script prints every command whose
 exit code, stdout or stderr differs, then a count.  When two JSON reports
@@ -19,7 +20,9 @@ differ in float values only, it lists each moved field, list positions
 folded into ``[*]``, with its largest change and, for ``run`` and
 ``shots``, that change as a fraction of the run's rounding budget (2 eps
 per element application); any other difference is shown as a unified
-diff.  It exits 0 when nothing differs and 1 otherwise.
+diff.  Last it prints each tree's summed command time per workload; the
+two interpreters run at once, so a slower host slows both.  The times are
+not compared.  It exits 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ifmsim import cli, schemes  # noqa: E402  (this tree's package)
 
-STREAM_SEED = 1
-STREAM_COMMANDS = 200
 TRACE_COMMANDS = (
     ["run", "--scheme", "multipixel-zeno", "--d", "3", "--N", "50", "--transmissions", "1,1,1"],
     ["run", "--scheme", "michelson-zeno", "--d", "4", "--N", "10000", "--pattern", "1010"],
@@ -54,16 +55,18 @@ HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "
                  ["verify", "--help"])
 
 # Runs each command of the JSON list in argv[1] and writes one JSON line
-# [exit, stdout, stderr] per command to argv[2].
+# [exit, stdout, stderr] per command to argv[2], and its seconds, one line
+# each, to argv[3].
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 from ifmsim.cli import main
 
 with open(sys.argv[1]) as handle:
     commands = json.load(handle)
-with open(sys.argv[2], "w") as results:
+with open(sys.argv[2], "w") as results, open(sys.argv[3], "w") as times:
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
@@ -71,18 +74,20 @@ with open(sys.argv[2], "w") as results:
                 code = exc.code
             except Exception as exc:
                 code = f"raised {type(exc).__name__}: {exc}"
+        times.write(f"{time.perf_counter() - start!r}\\n")
         results.write(json.dumps([code, out.getvalue(), err.getvalue()]) + "\\n")
 """
 
 
-def commands() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every replayed command, in order."""
+def commands(seed: int, count: int) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every replayed command, in order: ``count`` of each
+    workload stream with ``seed``, then the fixed ones."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     named = []
     for workload in WORKLOADS.values():
-        stream = itertools.islice(workload.stream(STREAM_SEED), STREAM_COMMANDS)
+        stream = itertools.islice(workload.stream(seed), count)
         named += [(f"{workload.name}[{i}]", argv) for i, argv in enumerate(stream)]
     named += [(f"trace[{i}]", argv) for i, argv in enumerate(TRACE_COMMANDS)]
     return named + [("help", argv) for argv in HELP_COMMANDS]
@@ -97,11 +102,22 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"cannot export revision {rev!r}")
 
 
-def start(tree: Path, command_file: Path, result_file: Path) -> subprocess.Popen:
+def start(tree: Path, command_file: Path, result_file: Path,
+          time_file: Path) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    return subprocess.Popen([sys.executable, "-c", CHILD, str(command_file), str(result_file)],
-                            cwd=tree, env=env)
+    return subprocess.Popen([sys.executable, "-c", CHILD, str(command_file), str(result_file),
+                             str(time_file)], cwd=tree, env=env)
+
+
+def workload_seconds(named: list[tuple[str, list[str]]], time_file: Path) -> dict[str, float]:
+    """Summed command seconds per workload, the part of a name before ``[``."""
+    totals: dict[str, float] = {}
+    with open(time_file) as times:
+        for (name, _), seconds in zip(named, times, strict=True):
+            workload = name.split("[")[0]
+            totals[workload] = totals.get(workload, 0.0) + float(seconds)
+    return totals
 
 
 def diff(kind: str, old: str, new: str) -> list[str]:
@@ -169,8 +185,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV",
                         help="revision to compare this tree with")
-    rev = parser.parse_args().parent
-    named = commands()
+    parser.add_argument("--seed", type=int, default=1, help="seed of the workload streams")
+    parser.add_argument("--commands", type=int, default=200, metavar="COUNT",
+                        help="commands replayed from each workload stream")
+    args = parser.parse_args()
+    rev = args.parent
+    named = commands(args.seed, args.commands)
     with tempfile.TemporaryDirectory(prefix="ifmsim-replay-") as tmp:
         tmp_path = Path(tmp)
         parent = tmp_path / "parent"
@@ -179,8 +199,9 @@ def main() -> int:
         command_file = tmp_path / "commands.json"
         command_file.write_text(json.dumps([argv for _, argv in named]))
         parent_results, this_results = tmp_path / "parent.jsonl", tmp_path / "this.jsonl"
-        procs = [start(parent, command_file, parent_results),
-                 start(ROOT, command_file, this_results)]
+        parent_times, this_times = tmp_path / "parent.times", tmp_path / "this.times"
+        procs = [start(parent, command_file, parent_results, parent_times),
+                 start(ROOT, command_file, this_results, this_times)]
         for proc in procs:
             if proc.wait():
                 raise SystemExit(f"replay interpreter exited {proc.returncode}")
@@ -202,8 +223,12 @@ def main() -> int:
                     for kind, a, b in zip(("stdout", "stderr"), old[1:], new[1:]):
                         out += diff(kind, a, b)
                 sys.stdout.writelines(out)
-    print(f"{len(named)} commands replayed against {rev}: {differing} differ, "
-          f"{floats_only} of them in float values only")
+        old_seconds = workload_seconds(named, parent_times)
+        new_seconds = workload_seconds(named, this_times)
+    for workload, seconds in old_seconds.items():
+        print(f"{workload}: {seconds:.3f} s at {rev}, {new_seconds[workload]:.3f} s here")
+    print(f"{len(named)} commands replayed against {rev} (streams with seed {args.seed}, "
+          f"{args.commands} each): {differing} differ, {floats_only} of them in float values only")
     return 1 if differing else 0
 
 
