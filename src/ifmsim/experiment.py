@@ -6,11 +6,14 @@ of shot k is a pure function of (seed, k): batches drawn in parallel from
 disjoint counter ranges merge into the same record stream, and reruns with
 the same seed are bit-identical.
 
-Shots are drawn ``CHUNK`` at a time and each chunk is folded into a
-per-outcome tally, so sampling memory does not grow with the shot count.
-Each uniform is mapped to its outcome through a guide table built once per
-distribution (see ``_draws``).  ``shot_csv`` draws the same shots from
-the seed and writes them as CSV, chunk by chunk, and returns their tally.
+Shots are drawn ``CHUNK`` at a time as raw 64-bit Philox outputs: shot
+k's uniform is u_k = (x_k >> 11) * 2**-53, exactly as ``Generator.random``
+forms it from the k-th output x_k, and its guide-table bucket is x_k >> 52.
+``sample_distribution`` counts each chunk by bucket; only the shots in the
+few buckets that an outcome boundary crosses are turned into uniforms and
+searched (see ``_GuideTable``), so sampling memory does not grow with the
+shot count.  ``shot_csv`` maps the same draws to outcome ids and writes
+them as CSV, chunk by chunk, and returns their tally.
 A Zeno readout is one draw from the final distribution: no shot is
 collapsed cycle by cycle.
 
@@ -61,56 +64,93 @@ class ClickCounts:
         return self.counts.get(label, 0) / self.total
 
 
-# Shots drawn per chunk, and buckets of the guide table.  The bucket count
-# is a power of two, so u * GUIDE_BUCKETS is exact for every uniform u.
+# Shots drawn per chunk, and buckets of the guide table.  A shot's bucket
+# is the top 12 bits of its raw 64-bit draw (see ``_GuideTable``).
 CHUNK = 1 << 16
 GUIDE_BUCKETS = 1 << 12
+_BUCKET_SHIFT = 64 - 12
 
 
-def _draws(
-    probabilities: np.ndarray, generator: np.random.Generator, n: int
-) -> Iterator[np.ndarray]:
-    """Category ids of the next ``n`` shots of ``generator``, ``CHUNK`` at a time.
+def _raw_chunks(bit_generator: np.random.BitGenerator, n: int) -> Iterator[np.ndarray]:
+    """The next ``n`` raw 64-bit outputs of ``bit_generator``, ``CHUNK`` at a
+    time.  The chunks split one stream, so no draw depends on ``CHUNK``."""
+    for start in range(0, n, CHUNK):
+        yield bit_generator.random_raw(min(CHUNK, n - start))
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """numpy's uniforms of raw 64-bit draws: the top 53 bits times 2**-53,
+    as ``Generator.random`` forms them."""
+    return (raw >> 11) * 2.0**-53
+
+
+class _GuideTable:
+    """Outcome search of one distribution, indexed by each draw's top bits.
 
     A shot with uniform u takes the number of cumulative probabilities at
-    or below u, capped at the last category (rounding can leave the sum
-    just below 1); zero-probability categories are unreachable.  The search
-    is indexed (Chen and Asau 1974; Devroye 1986, ch. III): bucket j of
-    [0, 1) holds the answer at its left end j / GUIDE_BUCKETS, and every u
-    in a bucket that no cumulative probability falls inside shares it.
-    Only the shots in the few buckets that hold one are searched.  The
-    uniforms come from one generator whatever the chunk size, so the ids
-    do not depend on ``CHUNK``.
+    or below u, capped at the last outcome (rounding can leave the sum just
+    below 1); zero-probability outcomes are unreachable.  The search is
+    indexed (Chen and Asau 1974; Devroye 1986, ch. III): bucket j of [0, 1)
+    holds the answer at its left end j / GUIDE_BUCKETS, and every u in a
+    bucket that no cumulative probability falls inside (a pure bucket)
+    shares it.  A draw x has uniform u = (x >> 11) * 2**-53, so its bucket
+    floor(u * GUIDE_BUCKETS) is exactly x >> 52: only the shots in the few
+    mixed buckets, those a cumulative probability falls inside, are turned
+    into uniforms and searched.
     """
-    edges = np.cumsum(probabilities)
-    last = len(edges) - 1
-    guide = np.searchsorted(
-        edges, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="right")
-    first = np.minimum(guide[:-1], last)
-    mixed = guide[1:] != guide[:-1]
-    u_buf = np.empty(min(n, CHUNK))
-    bucket_buf = np.empty(len(u_buf), dtype=np.intp)
-    for start in range(0, n, CHUNK):
-        size = min(CHUNK, n - start)
-        u, bucket = u_buf[:size], bucket_buf[:size]
-        generator.random(out=u)
-        np.multiply(u, GUIDE_BUCKETS, out=bucket, casting="unsafe")
-        ids = first.take(bucket)
-        searched = np.flatnonzero(mixed.take(bucket))
-        ids[searched] = np.minimum(np.searchsorted(edges, u[searched], side="right"), last)
-        yield ids
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        self.edges = np.cumsum(probabilities)
+        self.last = len(self.edges) - 1
+        guide = np.searchsorted(
+            self.edges, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="right")
+        self.first = np.minimum(guide[:-1], self.last)
+        self.mixed = guide[1:] != guide[:-1]
+
+    def search(self, raw: np.ndarray) -> np.ndarray:
+        """Outcome ids of raw draws by binary search of their uniforms."""
+        return np.minimum(np.searchsorted(self.edges, _uniforms(raw), side="right"), self.last)
+
+    def _split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Buckets of the draws, and the positions of those in mixed buckets."""
+        buckets = (raw >> _BUCKET_SHIFT).view(np.int64)
+        return buckets, np.flatnonzero(self.mixed.take(buckets))
+
+    def ids(self, raw: np.ndarray) -> np.ndarray:
+        """Outcome id of each draw."""
+        buckets, searched = self._split(raw)
+        ids = self.first.take(buckets)
+        ids[searched] = self.search(raw[searched])
+        return ids
+
+    def tally(self, chunks: Iterator[np.ndarray]) -> np.ndarray:
+        """Outcome counts of all draws of ``chunks``.
+
+        Each chunk is counted by bucket; the shots of mixed buckets are
+        searched and counted by outcome.  Each pure bucket's count is
+        credited to its one outcome once, after the last chunk.
+        """
+        per_bucket = np.zeros(GUIDE_BUCKETS, dtype=np.int64)
+        tally = np.zeros(self.last + 1, dtype=np.int64)
+        for raw in chunks:
+            buckets, searched = self._split(raw)
+            per_bucket += np.bincount(buckets, minlength=GUIDE_BUCKETS)
+            tally += np.bincount(self.search(raw[searched]), minlength=len(tally))
+        pure = ~self.mixed
+        np.add.at(tally, self.first[pure], per_bucket[pure])
+        return tally
 
 
-def _shot_ids(
+def _shot_draws(
     distribution: DetectionDistribution, n_shots: int, seed: int
-) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
-    """Outcome labels, ``absorbed`` last, and the chunked ids of the shots."""
+) -> tuple[tuple[str, ...], _GuideTable, Iterator[np.ndarray]]:
+    """Outcome labels, ``absorbed`` last, their guide table, and the raw
+    draws of the shots, ``CHUNK`` at a time."""
     if n_shots < 1:
         raise ValueError(f"shot count must be >= 1, got {n_shots}")
     labels = tuple(distribution.probabilities) + (ABSORBED,)
     probs = np.array(list(distribution.probabilities.values()) + [distribution.p_abs])
-    generator = np.random.Generator(np.random.Philox(key=seed))
-    return labels, _draws(probs, generator, n_shots)
+    return labels, _GuideTable(probs), _raw_chunks(np.random.Philox(key=seed), n_shots)
 
 
 def _click_counts(labels: tuple[str, ...], tally: np.ndarray, n_shots: int) -> ClickCounts:
@@ -122,11 +162,8 @@ def sample_distribution(
     distribution: DetectionDistribution, n_shots: int, seed: int
 ) -> ClickCounts:
     """Click counts of ``n_shots`` i.i.d. outcomes drawn from an exact distribution."""
-    labels, chunks = _shot_ids(distribution, n_shots, seed)
-    tally = np.zeros(len(labels), dtype=np.int64)
-    for ids in chunks:
-        tally += np.bincount(ids, minlength=len(labels))
-    return _click_counts(labels, tally, n_shots)
+    labels, table, chunks = _shot_draws(distribution, n_shots, seed)
+    return _click_counts(labels, table.tally(chunks), n_shots)
 
 
 def shot_csv(
@@ -139,13 +176,14 @@ def shot_csv(
     (those of ``sample_distribution``), so a caller that writes the CSV and
     reports the counts draws each shot once.
     """
-    labels, chunks = _shot_ids(distribution, n_shots, seed)
+    labels, table, chunks = _shot_draws(distribution, n_shots, seed)
     tally = np.zeros(len(labels), dtype=np.int64)
     # Each line is a shot index, then its outcome's ",label\n" from this table.
     tails = [f",{label}\n" for label in labels]
     yield "shot_index,outcome_label\n"
     start = 0
-    for ids in chunks:
+    for raw in chunks:
+        ids = table.ids(raw)
         tally += np.bincount(ids, minlength=len(labels))
         pieces = [""] * (2 * len(ids))
         pieces[0::2] = map(str, range(start, start + len(ids)))

@@ -502,13 +502,13 @@ class TestCmdShots:
     def test_csv_draws_each_shot_once(self, monkeypatch, tmp_path):
         # The report's counts are the tally of the CSV's own shots.
         draws = []
-        shot_ids = experiment._shot_ids
+        shot_draws = experiment._shot_draws
 
         def recording(*args):
             draws.append(args)
-            return shot_ids(*args)
+            return shot_draws(*args)
 
-        monkeypatch.setattr(experiment, "_shot_ids", recording)
+        monkeypatch.setattr(experiment, "_shot_draws", recording)
         out = tmp_path / "clicks.csv"
         assert main(["shots", "--scheme", "multipixel-zeno", "--d", "4", "--N", "100",
                      "--pattern", "1010", "--shots", "100000", "--seed", "1",
@@ -530,7 +530,7 @@ class TestCmdShots:
             raise AssertionError("shots were drawn before --out was opened")
 
         monkeypatch.setattr(experiment, "sample_distribution", sample_distribution)
-        monkeypatch.setattr(experiment, "_shot_ids", sample_distribution)
+        monkeypatch.setattr(experiment, "_shot_draws", sample_distribution)
         code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20",
                      "--pattern", "10", "--shots", "1000", "--format", "csv",
                      "--out", str(tmp_path / "missing" / "clicks.csv")])

@@ -14,6 +14,7 @@ from ifmsim import analytics, core, experiment
 from ifmsim.core import DetectionDistribution, PixelPattern
 from ifmsim.experiment import (
     CHUNK,
+    GUIDE_BUCKETS,
     UNKNOWN,
     ClickCounts,
     estimate_transmissions,
@@ -48,10 +49,10 @@ def reference_csv(labels, ids):
 
 def f_string_csv(distribution, n_shots, seed):
     """The chunks of ``shot_csv`` written with one f-string per shot."""
-    labels, chunks = experiment._shot_ids(distribution, n_shots, seed)
+    labels, table, chunks = experiment._shot_draws(distribution, n_shots, seed)
     yield "shot_index,outcome_label\n"
     start = 0
-    for ids in chunks:
+    for ids in map(table.ids, chunks):
         yield "".join([f"{k},{labels[i]}\n"
                        for k, i in zip(range(start, start + len(ids)), ids.tolist())])
         start += len(ids)
@@ -64,6 +65,16 @@ def labels_of(distribution):
 
 def csv_of(distribution, n, seed):
     return "".join(shot_csv(distribution, n, seed))
+
+
+def csv_counts(distribution, n, seed):
+    """The click counts ``shot_csv`` returns after its last chunk."""
+    chunks = shot_csv(distribution, n, seed)
+    while True:
+        try:
+            next(chunks)
+        except StopIteration as stop:
+            return stop.value
 
 
 def distribution_of(probabilities):
@@ -201,9 +212,12 @@ class TestChunkedSampler:
     def test_sum_below_1_caps_at_the_last_category(self):
         # A quarter of the uniforms lie beyond every cumulative probability.
         probabilities = np.array([0.25, 0.25, 0.25])
-        generator = np.random.Generator(np.random.Philox(key=3))
-        ids = np.concatenate(list(experiment._draws(probabilities, generator, CHUNK + 1)))
+        table = experiment._GuideTable(probabilities)
+        raw = experiment._raw_chunks(np.random.Philox(key=3), CHUNK + 1)
+        ids = np.concatenate(list(map(table.ids, raw)))
         assert np.array_equal(ids, reference_ids(probabilities, 3, CHUNK + 1))
+        raw = experiment._raw_chunks(np.random.Philox(key=3), CHUNK + 1)
+        assert np.array_equal(table.tally(raw), np.bincount(ids, minlength=3))
 
     def test_more_categories_than_buckets(self):
         # 5005 categories, more than the 4096 guide buckets, so many
@@ -213,15 +227,16 @@ class TestChunkedSampler:
         assert_matches_full_search(list(probabilities), CHUNK + 1, seed=23)
 
     def test_shot_k_depends_only_on_seed_and_k(self):
-        # Philox yields four doubles per counter step, so advancing the
-        # counter by k skips 4k shots: a batch drawn from there is the tail
-        # of one draw, and the tallies of the two batches add up to its tally.
+        # Philox yields four 64-bit outputs per counter step, so starting
+        # the counter at k skips 4k shots: a batch drawn from there is the
+        # tail of one draw, and the tallies of the two batches add up to its
+        # tally.
         probabilities = ADVERSARIAL["dirichlet-with-zero-bins"]
         n, k = 3 * CHUNK + 7, 12_345
         full = reference_ids(probabilities, 9, n)
-        generator = np.random.Generator(np.random.Philox(key=9))
-        generator.bit_generator.advance(k)
-        tail = np.concatenate(list(experiment._draws(np.array(probabilities), generator, n - 4 * k)))
+        table = experiment._GuideTable(np.array(probabilities))
+        raw = experiment._raw_chunks(np.random.Philox(key=9, counter=k), n - 4 * k)
+        tail = np.concatenate(list(map(table.ids, raw)))
         assert np.array_equal(tail, full[4 * k:])
 
         dist = distribution_of(probabilities)
@@ -245,6 +260,92 @@ class TestChunkedSampler:
         small, large = peak_mb(100_000), peak_mb(4_000_000)
         assert large < 10.0
         assert abs(large - small) < 1.0
+
+
+class TestRawDraws:
+    """The bit identities of numpy's Philox stream that the sampler rests on.
+
+    Shot k's uniform is (x_k >> 11) * 2**-53 for the k-th raw 64-bit output
+    x_k, and its guide bucket is x_k >> 52.  Should numpy change how
+    ``Generator.random`` forms a double, these fail instead of the counts
+    silently moving away from the full search.
+    """
+
+    @pytest.mark.parametrize("counter", [0, 1, 12_345, 2**64 + 2, 2**256 - 1])
+    @pytest.mark.parametrize("key", [0, 9, 2**64 + 5, 2**128 - 1])
+    def test_raw_draws_give_numpys_uniforms_and_buckets(self, key, counter):
+        n = 4 * 1000 + 3
+        raw = np.random.Philox(key=key, counter=counter).random_raw(n)
+        u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(n)
+        assert np.array_equal((raw >> 11) * 2.0**-53, u)
+        assert np.array_equal(experiment._uniforms(raw), u)
+        assert np.array_equal(raw >> 52, np.floor(u * GUIDE_BUCKETS).astype(np.uint64))
+
+    @pytest.mark.parametrize("key", [0, 9, 2**128 - 1])
+    def test_counter_start_skips_four_outputs_per_step(self, key):
+        k = 1_000
+        full = np.random.Philox(key=key).random_raw(4 * k + 50)
+        advanced = np.random.Philox(key=key)
+        advanced.advance(k)
+        assert np.array_equal(np.random.Philox(key=key, counter=k).random_raw(50), full[4 * k:])
+        assert np.array_equal(advanced.random_raw(50), full[4 * k:])
+
+    def test_bucket_is_the_top_bits_at_every_boundary(self):
+        # Draws at, just below and just above each bucket's left end, and
+        # the extremes of the 64-bit range.
+        starts = np.arange(GUIDE_BUCKETS, dtype=np.uint64) << np.uint64(52)
+        raw = np.concatenate([starts, starts - np.uint64(1), starts + np.uint64(1 << 11),
+                              np.array([0, 2**64 - 1], dtype=np.uint64)])
+        u = experiment._uniforms(raw)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert np.array_equal(raw >> 52, np.floor(u * GUIDE_BUCKETS).astype(np.uint64))
+
+
+# Shot counts at and around each multiple of CHUNK up to two chunks.
+CHUNK_EDGES = sorted({m * CHUNK + delta for m in range(3) for delta in (-1, 0, 1)} - {-1, 0})
+
+
+def random_probabilities(rng, k):
+    """A random distribution over ``k`` outcomes, the absorbed share last.
+
+    Dirichlet weights of random spread, some bins zeroed, sometimes
+    ``p_abs = 0``, and sometimes scaled so the cumulative sum ends a few
+    ulps below 1.
+    """
+    p = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 20.0])))
+    if k > 1 and rng.random() < 0.5:
+        p[rng.random(k) < rng.uniform(0.1, 0.9)] = 0.0
+    if k > 1 and rng.random() < 0.25:
+        p[-1] = 0.0
+    if not p.any():
+        p[rng.integers(k)] = 1.0
+    p /= p.sum()
+    if rng.random() < 0.5:
+        p *= 1.0 - int(rng.integers(1, 8)) * 2.0**-53
+    return p
+
+
+class TestSamplerProperties:
+    """Seeded random distributions: counts, CSV tally and full search agree."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_counts_csv_tally_and_full_search_agree(self, n):
+        rng = np.random.default_rng([n, 2718])
+        # K from 1 to 5005, log-uniform, with both ends always present.
+        sizes = [1, 5005] + [int(np.exp(rng.uniform(0.0, np.log(5005)))) for _ in range(28)]
+        below_one = 0
+        for k in sizes:
+            probabilities = random_probabilities(rng, k)
+            below_one += np.cumsum(probabilities)[-1] < 1.0
+            seed = int(rng.integers(2**63)) << int(rng.choice([0, 64]))
+            dist = distribution_of(list(probabilities))
+            counts = sample_distribution(dist, n, seed)
+            tally = np.bincount(reference_ids(probabilities, seed, n), minlength=k)
+            expected = ClickCounts(dict(zip(labels_of(dist)[:-1], map(int, tally[:-1]))),
+                                   int(tally[-1]), n)
+            assert counts == expected, (k, seed)
+            assert csv_counts(dist, n, seed) == expected, (k, seed)
+        assert below_one >= 5
 
 
 class TestReconstruction:

@@ -20,9 +20,11 @@ differ in float values only, it lists each moved field, list positions
 folded into ``[*]``, with its largest change and, for ``run`` and
 ``shots``, that change as a fraction of the run's rounding budget (2 eps
 per element application); any other difference is shown as a unified
-diff.  Last it prints each tree's summed command time per workload; the
-two interpreters run at once, so a slower host slows both.  The times are
-not compared.  It exits 0 when nothing differs and 1 otherwise.
+diff.  Last it prints each tree's summed command time per workload.  The
+two interpreters run one after the other, the parent first, so neither
+competes with the other for a CPU; other load on the host still moves
+both.  The times are not compared.  It exits 0 when nothing differs and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -102,12 +104,14 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"cannot export revision {rev!r}")
 
 
-def start(tree: Path, command_file: Path, result_file: Path,
-          time_file: Path) -> subprocess.Popen:
+def replay(tree: Path, command_file: Path, result_file: Path, time_file: Path) -> None:
+    """Run the commands on ``tree`` in a fresh interpreter and wait for it."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    return subprocess.Popen([sys.executable, "-c", CHILD, str(command_file), str(result_file),
-                             str(time_file)], cwd=tree, env=env)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(command_file), str(result_file),
+                           str(time_file)], cwd=tree, env=env)
+    if proc.returncode:
+        raise SystemExit(f"replay interpreter exited {proc.returncode}")
 
 
 def workload_seconds(named: list[tuple[str, list[str]]], time_file: Path) -> dict[str, float]:
@@ -200,11 +204,8 @@ def main() -> int:
         command_file.write_text(json.dumps([argv for _, argv in named]))
         parent_results, this_results = tmp_path / "parent.jsonl", tmp_path / "this.jsonl"
         parent_times, this_times = tmp_path / "parent.times", tmp_path / "this.times"
-        procs = [start(parent, command_file, parent_results, parent_times),
-                 start(ROOT, command_file, this_results, this_times)]
-        for proc in procs:
-            if proc.wait():
-                raise SystemExit(f"replay interpreter exited {proc.returncode}")
+        replay(parent, command_file, parent_results, parent_times)
+        replay(ROOT, command_file, this_results, this_times)
         differing = floats_only = 0
         with open(parent_results) as old_lines, open(this_results) as new_lines:
             for (name, argv), old, new in zip(named, old_lines, new_lines, strict=True):
