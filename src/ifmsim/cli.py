@@ -9,8 +9,9 @@ Subcommands:
                reconstruction.
 * ``verify`` - run the structural and outcome self-check suites.
 
-Exit codes: 0 success, 2 usage error, 3 numeric or invariant failure,
-4 reconstruction mismatch against the configured ground truth.
+Exit codes: 0 success, 2 usage error, 3 numeric or invariant failure or
+a run too large for memory, 4 reconstruction mismatch against the
+configured ground truth.
 """
 
 from __future__ import annotations
@@ -686,6 +687,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_NUMERIC
 
 

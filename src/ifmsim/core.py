@@ -15,14 +15,14 @@ Every optical element is a linear map on the flattened amplitude vector,
 held in an :class:`ElementOp`.  Each element acts on one axis of the
 (2, d, d+1) state: an index map, a diagonal, or a 2x2 block.  It is stored
 as that action in gather form, where every output amplitude is a sum of K
-input amplitudes times coefficients, so applying it costs O(K D) rather
-than the O(D^2) of a dense matrix; :func:`compose` multiplies gather forms
-and keeps K small.  A gather form carries its own length, so an element
-restricted to the amplitudes a run reaches (:func:`reachable`,
-:meth:`ElementOp.restrict`) and its powers (:func:`doublings`) are
-elements too.  :func:`doublings` squares a form block by block: over the
-amplitudes its terms connect (on a restricted cycle, one 2x2 block per
-pixel that is not opaque), with no merge of terms.
+input amplitudes times coefficients, so applying it (:func:`gather`) costs
+O(K D) rather than the O(D^2) of a dense matrix; :func:`compose` multiplies
+gather forms and keeps K small.  A run's composed cycle then goes to
+:func:`support_blocks`, which finds the amplitudes the input reaches and
+returns the cycle on them as plain arrays in block gather form: on a
+cycling scheme, one 2x2 block per pixel that is not opaque.
+:func:`block_powers` squares that form block by block, with no merge of
+terms.
 
 What a run takes from d alone is built once per d and shared: the
 elements fixed by d, the input state, and the gather index of the
@@ -155,23 +155,20 @@ class ElementOp:
     """A linear optical element in gather form.
 
     Amplitude ``i`` of the output is ``sum_k coeff[k, i] * input[index[k, i]]``
-    over a flat vector of ``dim`` amplitudes, with ``index`` and ``coeff`` of
-    shape (K, dim).  ``dim`` is the full space of ``d`` pixels, 2d(d+1), unless
-    given: a form restricted to the amplitudes a run reaches (``restrict``)
-    carries its own length.  Index maps and diagonals need one term per
-    amplitude (``K = 1``), the 2x2 blocks two, so applying an element costs
-    O(K dim).  ``matrix`` is a read-only dense view, built on each access, for
-    checks at small d.
+    over the flat vector of the D = 2d(d+1) amplitudes of ``d`` pixels, with
+    ``index`` and ``coeff`` of shape (K, D).  Index maps and diagonals need
+    one term per amplitude (``K = 1``), the 2x2 blocks two, so applying an
+    element costs O(K D).  ``matrix`` is a read-only dense view, built on
+    each access, for checks at small d.
     """
 
     label: str
     d: int
     index: np.ndarray
     coeff: np.ndarray
-    dim: int | None = None
 
     def __post_init__(self) -> None:
-        n = space_dim(self.d) if self.dim is None else self.dim
+        n = space_dim(self.d)
         # Read-only arrays are kept as given: the elements of one d share
         # their index, and a permutation one broadcast 1.0 instead of a
         # column of ones.
@@ -190,54 +187,35 @@ class ElementOp:
             raise ValueError(f"gather index outside the {n} basis states")
         index.setflags(write=False)
         coeff.setflags(write=False)
-        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "coeff", coeff)
-        # ``_terms`` holds the (index, coeff) rows, unpacked once for apply_flat.
-        object.__setattr__(self, "_terms", tuple(zip(index, coeff)))
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense ``dim x dim`` matrix of the action, read-only."""
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        np.add.at(m, (np.broadcast_to(np.arange(self.dim), self.index.shape), self.index),
-                  self.coeff)
+        """Dense matrix of the action, read-only."""
+        n = space_dim(self.d)
+        m = np.zeros((n, n), dtype=np.complex128)
+        np.add.at(m, (np.broadcast_to(np.arange(n), self.index.shape), self.index), self.coeff)
         m.setflags(write=False)
         return m
 
     def apply_flat(self, vec: np.ndarray) -> np.ndarray:
         """Action on the last axis of ``vec``, one flat vector or a stack of
         them; returns a new array."""
-        (index, coeff), *rest = self._terms
-        out = coeff * vec[..., index]
-        for index, coeff in rest:
-            out += coeff * vec[..., index]
-        return out
+        return gather(self.index, self.coeff, vec)
 
     def apply(self, state: PhotonState) -> PhotonState:
-        if state.d != self.d or self.dim != space_dim(state.d):
-            raise ValueError(f"element on {self.dim} amplitudes for d={self.d} applied to "
-                             f"state with d={state.d}")
+        if state.d != self.d:
+            raise ValueError(f"element for d={self.d} applied to state with d={state.d}")
         return PhotonState.from_flat(state.d, self.apply_flat(state.flat))
 
-    def restrict(self, support: np.ndarray) -> "ElementOp":
-        """This element on the amplitudes at the sorted positions ``support``.
-
-        Terms that read an amplitude outside ``support`` are dropped, so the
-        result acts as this element does on every vector that is zero
-        outside ``support`` and whose image is too.
-        """
-        position = np.full(self.dim, -1, dtype=np.intp)
-        position[support] = np.arange(len(support))
-        index = position[self.index[:, support]]
-        outside = index < 0
-        index[outside] = 0
-        coeff = np.where(outside, 0.0, self.coeff[:, support])
-        return ElementOp(f"{self.label} on {len(support)} amplitudes", self.d, index, coeff,
-                         len(support))
-
     def __repr__(self) -> str:  # noqa: D105
-        return f"ElementOp({self.label!r}, d={self.d}, dim={self.dim})"
+        return f"ElementOp({self.label!r}, d={self.d})"
+
+
+def gather(index: np.ndarray, coeff: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The gather form (``index``, ``coeff``) applied to the last axis of ``vec``."""
+    return (coeff * vec[..., index]).sum(axis=-2)
 
 
 def _merge_terms(index: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +245,6 @@ def _then(index: np.ndarray, coeff: np.ndarray, next_index: np.ndarray,
 
     Substitutes the first form into the second; when that multiplies the
     term count K, terms that read the same source amplitude are merged.
-    The coefficients keep the wider of the two dtypes.
     """
     # K multiplies only when both forms have several terms.
     grows = len(index) > 1 and len(next_index) > 1
@@ -286,52 +263,57 @@ def compose(ops: Sequence[ElementOp], label: str | None = None) -> ElementOp:
     """
     if not ops:
         raise ValueError("cannot compose an empty element sequence")
-    d, n = ops[0].d, ops[0].dim
+    d = ops[0].d
     if any(op.d != d for op in ops):
         raise ValueError("cannot compose elements built for different d")
-    if any(op.dim != n for op in ops):
-        raise ValueError("cannot compose gather forms of different lengths")
     index, coeff = ops[0].index, ops[0].coeff
     for op in ops[1:]:
         index, coeff = _then(index, coeff, op.index, op.coeff)
     if label is None:
         label = " > ".join(op.label for op in ops)
-    return ElementOp(label, d, index, coeff, n)
+    return ElementOp(label, d, index, coeff)
 
 
-def reachable(op: ElementOp, vec: np.ndarray, steps: int) -> np.ndarray:
-    """Sorted positions of the amplitudes that ``vec`` holds or that ``steps``
-    applications of ``op`` can make non-zero.
+def support_blocks(cycle: ElementOp, vec: np.ndarray, steps: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitudes ``vec`` reaches under ``cycle``, and ``cycle`` on them by blocks.
 
-    The non-zeros of ``vec`` are closed under the gather form: an output
+    Returns the sorted positions ``support`` of the amplitudes that ``vec``
+    holds or that ``steps`` applications of ``cycle`` can make non-zero (an
     amplitude is reached when one of its terms reads a reached amplitude
-    with a non-zero coefficient.  The closure stops after ``min(steps,
-    op.dim)`` steps, or earlier when a step reaches nothing new.
+    with a non-zero coefficient; the closure stops early when a step
+    reaches nothing new), and the gather form (``index``, ``coeff``) of
+    ``cycle`` on ``vec[support]``.
+
+    A block is a set of amplitudes of the support that terms with non-zero
+    coefficients connect, so every power of the cycle maps each block into
+    itself: on a cycling scheme, one 2x2 block per pixel that is not opaque
+    and a 1x1 block per opaque one.  With b the size of the largest block,
+    term k of every amplitude reads the k-th amplitude of its block, in
+    increasing order; a smaller block repeats its first amplitude, with a
+    zero coefficient.
     """
     live = vec != 0
-    terms = [(index, coeff != 0) for index, coeff in zip(op.index, op.coeff)]
-    for _ in range(min(steps, op.dim)):
+    links = [(index, coeff != 0) for index, coeff in zip(cycle.index, cycle.coeff)]
+    for _ in range(min(steps, len(vec))):
         grown = live.copy()
-        for index, feeds in terms:
+        for index, feeds in links:
             grown |= live[index] & feeds
         if np.array_equal(grown, live):
             break
         live = grown
-    return np.flatnonzero(live)
-
-
-def _block_form(op: ElementOp) -> tuple[np.ndarray, np.ndarray]:
-    """``op`` in gather form over its blocks: index and ``np.clongdouble`` coefficients.
-
-    A block is a set of amplitudes that terms with non-zero coefficients
-    connect, so every power of ``op`` maps each block into itself.  With b
-    the size of the largest block, term k of every amplitude reads the
-    k-th amplitude of its block, in increasing order; a smaller block
-    repeats its first amplitude, with a zero coefficient.
-    """
-    n = op.dim
-    live = op.coeff != 0
-    reader, source = np.nonzero(live)[1], op.index[live]
+    support = np.flatnonzero(live)
+    n = len(support)
+    # The cycle's terms on the support; a term that reads outside it reads
+    # the support's first amplitude, with a zero coefficient.
+    rank = np.full(len(vec), -1, dtype=np.intp)
+    rank[support] = np.arange(n)
+    sources = rank[cycle.index[:, support]]
+    outside = sources < 0
+    sources[outside] = 0
+    terms = np.where(outside, 0.0, cycle.coeff[:, support])
+    connected = terms != 0
+    reader, source = np.nonzero(connected)[1], sources[connected]
     ends, other_ends = np.concatenate((reader, source)), np.concatenate((source, reader))
     # Each amplitude's root, the smallest amplitude of its block: the least
     # root at either end of a connection, until both ends of each agree.
@@ -351,47 +333,42 @@ def _block_form(op: ElementOp) -> tuple[np.ndarray, np.ndarray]:
     members = np.repeat(columns[:, None], position.max() + 1, axis=1)
     members[root, position] = columns
     index = _read_only(np.ascontiguousarray(members[root].T))
-    coeff = np.zeros(index.shape, dtype=np.clongdouble)
+    coeff = np.zeros(index.shape, dtype=np.complex128)
     # A term that reads outside the block has a zero coefficient, so adding
     # it at the slot of its source's position leaves every value as it is.
-    for source, term in zip(op.index, op.coeff):
+    for source, term in zip(sources, terms):
         coeff[position[source], columns] += term
-    return index, coeff
+    return support, index, _read_only(coeff)
 
 
-def doublings(op: ElementOp, count: int) -> list[ElementOp]:
-    """``op`` and its next ``count - 1`` squares: op, op^2, op^4, ...
+def block_powers(index: np.ndarray, coeff: np.ndarray, count: int) -> list[np.ndarray]:
+    """Coefficients of the block form (``index``, ``coeff``) of a cycle C
+    (``support_blocks``) and of its next ``count - 1`` squares: C, C^2, C^4, ...
 
-    The squares are taken over ``op``'s blocks (``_block_form``): every
-    power reads, for each amplitude, the amplitudes of its block in the
-    same order, so a square is one gather, one product and one sum over
-    the block, and keeps the index.  A power has as many terms as the
-    largest block has amplitudes: two on a cycling scheme, one where every
-    pixel is opaque.
+    Every power reads, for each amplitude, the amplitudes of its block in
+    the same order, so a square is one gather, one product and one sum over
+    the block, and keeps ``index``.
 
     Squares rounded to double at every step carry an error that doubles
     with each squaring (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2002, ch. 18).  So the squares are formed in
     ``np.clongdouble`` and each is rounded to double once.  On x86 that is
     the 80-bit extended format, whose 64-bit significand keeps the error
-    that the eight squarings of op^256 add well below that one rounding.
+    that the eight squarings of C^256 add well below that one rounding.
     Where the platform's long double is plain double (MSVC builds, Apple
     silicon), the squares round at every step: a run stays within its
     rounding budget, but in the cases measured its error against an exact
     reference grew up to 2.5 times.
     """
-    powers = [op]
-    if count < 2:
-        return powers
-    index, coeff = _block_form(op)
-    for j in range(1, count):
+    powers = [coeff]
+    wide = coeff.astype(np.clongdouble)
+    for _ in range(1, count):
         # Term s of amplitude i sums, over the amplitudes m of its block,
         # what m reads from the s-th amplitude times what i reads from m.
         # ``_then`` multiplies in that order, so each square equals the
         # merged product of the form with itself.
-        coeff = (coeff[:, index] * coeff).sum(axis=1)
-        powers.append(ElementOp(f"({op.label})^{2**j}", op.d, index,
-                                _read_only(coeff.astype(np.complex128)), op.dim))
+        wide = (wide[:, index] * wide).sum(axis=1)
+        powers.append(_read_only(wide.astype(np.complex128)))
     return powers
 
 

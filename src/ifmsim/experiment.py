@@ -42,7 +42,7 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class ClickCounts:
-    """Accumulated detector clicks of one or more sampling runs."""
+    """Detector clicks of one sampling run."""
 
     counts: dict[str, int]
     absorbed: int
@@ -51,12 +51,6 @@ class ClickCounts:
     def __post_init__(self) -> None:
         if sum(self.counts.values()) + self.absorbed != self.total:
             raise ValueError("click counts do not sum to the total shot number")
-
-    def __add__(self, other: "ClickCounts") -> "ClickCounts":
-        merged = dict(self.counts)
-        for label, n in other.counts.items():
-            merged[label] = merged.get(label, 0) + n
-        return ClickCounts(merged, self.absorbed + other.absorbed, self.total + other.total)
 
     def frequency(self, label: str) -> float:
         if label == ABSORBED:

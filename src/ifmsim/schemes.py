@@ -15,14 +15,15 @@ The single-pixel kinds ``ev-single-pass`` and ``zeno-single-pixel`` are
 the first two at d = 1, read under their own detector labels.  The object,
 not the kind, decides what a run can be reconstructed into.
 
-``run_scheme`` composes each scheme's cycle into one gather-form element
-and restricts it to the amplitudes the input photon reaches: a cycling run
-starts and ends every cycle on the reference mode, so at most 2d of the
-2d(d+1) amplitudes.  The states after cycles 1..N come from doubling on
-that support, in blocks of ``BLOCK_ROWS`` rows, and give the survival
-trace; the last state goes back into the full space for the switch-out
-and the detectors.  Every cycle count and every kind runs through this one
-path.
+``run_scheme`` composes each scheme's cycle into one gather-form element,
+and ``core.support_blocks`` gives it back on the amplitudes the input
+photon reaches, by blocks: a cycling run starts and ends every cycle on
+the reference mode, so at most 2d of the 2d(d+1) amplitudes, one 2x2
+block per pixel that is not opaque.  The states after cycles 1..N come
+from doubling on that support, in blocks of ``BLOCK_ROWS`` rows, and give
+the survival trace; the last state goes back into the full space for the
+switch-out and the detectors.  Every cycle count and every kind runs
+through this one path.
 
 A run builds only what depends on its angle and its object: the rotator's
 and the attenuator's coefficients.  What it takes from (kind, d) alone is
@@ -329,21 +330,22 @@ def _stage_product(stage: tuple[ElementOp, ...]) -> ElementOp:
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    The cycle's stages are composed once and restricted to the
+    The cycle's stages are composed once and taken, by blocks, onto the
     amplitudes the input reaches within ``n_cycles`` cycles (at most 2d of
-    the 2d(d+1) on a cycling scheme).  The states after cycles 1..N are
-    then built by doubling (``_evolve``).  The last state goes back into
-    the full space for the switch-out and the readout.  Returns the final
-    (sub-normalized) state, the detection distribution and the per-cycle
-    survival trace.  A survival within the rounding budget of the element
-    applications so far reads as 1 in the trace and the readout.
+    the 2d(d+1) on a cycling scheme; ``core.support_blocks``).  The states
+    after cycles 1..N are then built by doubling (``_evolve``).  The last
+    state goes back into the full space for the switch-out and the
+    readout.  Returns the final (sub-normalized) state, the detection
+    distribution and the per-cycle survival trace.  A survival within the
+    rounding budget of the element applications so far reads as 1 in the
+    trace and the readout.
     """
     built = build_scheme(config)
     cycle = core.compose([stage[0] if len(stage) == 1 else _stage_product(stage)
                           for stage in built.cycle_stages], label="cycle")
     start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
-    support = core.reachable(cycle, start, built.n_cycles)
-    survival, last = _evolve(cycle.restrict(support), start[support], built.n_cycles)
+    support, index, coeff = core.support_blocks(cycle, start, built.n_cycles)
+    survival, last = _evolve(index, coeff, start[support], built.n_cycles)
     vec = np.zeros_like(start)
     vec[support] = last
     for op in built.switch_out:
@@ -360,25 +362,27 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     return SchemeResult(final_state, distribution, SchemeTrace(survival, 1.0 - kept))
 
 
-def _evolve(cycle: ElementOp, start: np.ndarray, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Survival after each of ``n_cycles`` applications of ``cycle`` to
+def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
+            n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Survival after each of ``n_cycles`` applications of the cycle C to
     ``start``, and the last state.
 
-    The states are built in blocks of B = ``BLOCK_ROWS`` rows.  In the
-    first block, rows [n, 2n) are rows [0, n) times C^n; each later block
-    is the one before times C^B.  The powers C^n come from
-    ``core.doublings``, each rounded once from a more precise product.
+    C is given in block gather form (``core.support_blocks``).  The states
+    are built in blocks of B = ``BLOCK_ROWS`` rows.  In the first block,
+    rows [n, 2n) are rows [0, n) times C^n; each later block is the one
+    before times C^B.  The coefficients of C^n come from
+    ``core.block_powers``, each rounded once from a more precise product.
     Memory is one block, not one row per cycle.
     """
     rows = min(n_cycles, BLOCK_ROWS)
     doublings = (rows - 1).bit_length()
-    powers = core.doublings(cycle, max(1, doublings + (n_cycles > rows)))
-    block = np.empty((rows, cycle.dim), dtype=np.complex128)
-    block[0] = cycle.apply_flat(start)
+    powers = core.block_powers(index, coeff, max(1, doublings + (n_cycles > rows)))
+    block = np.empty((rows, len(start)), dtype=np.complex128)
+    block[0] = core.gather(index, coeff, start)
     filled = 1
     for power in powers[:doublings]:
         count = min(filled, rows - filled)
-        block[filled:filled + count] = power.apply_flat(block[:count])
+        block[filled:filled + count] = core.gather(index, power, block[:count])
         filled += count
     survival = np.empty(n_cycles)
     done = 0
@@ -389,7 +393,7 @@ def _evolve(cycle: ElementOp, start: np.ndarray, n_cycles: int) -> tuple[np.ndar
         if done == n_cycles:
             return survival, block[count - 1]
         count = min(rows, n_cycles - done)
-        block[:count] = powers[-1].apply_flat(block[:count])
+        block[:count] = core.gather(index, powers[-1], block[:count])
 
 
 def final_state_ideal(config: SchemeConfig) -> PhotonState:

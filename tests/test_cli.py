@@ -208,6 +208,21 @@ class TestCmdRun:
         assert "oracle fault" in captured.err
         assert captured.out == ""
 
+    def test_run_too_large_for_memory_exits_numeric(self, monkeypatch, capsys):
+        # At N = 10^12 the trace cannot be allocated.  The run is mocked:
+        # where memory is overcommitted, a real one would swap, not fail.
+        def unallocatable(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "run_scheme", unallocatable)
+        code = main(["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "1000000000000",
+                     "--pattern", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.err.startswith("error: Unable to allocate 7.28 TiB")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("where", ["trace", "analytic"])
     def test_non_finite_value_leaves_out_file_as_it_was(self, monkeypatch, tmp_path, capsys,
                                                          where):

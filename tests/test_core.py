@@ -541,95 +541,144 @@ def merged_terms(index, coeff):
     return merged_index, merged_coeff
 
 
-def merged_doublings(op, count):
-    """``core.doublings`` as it was before block squaring: each square
-    substitutes the form into itself and merges the terms that read one
-    source (``merged_terms``)."""
-    powers = [op]
-    index, coeff = op.index, op.coeff.astype(np.clongdouble)
+def restricted_terms(cycle, support):
+    """``cycle``'s terms on the amplitudes ``support``, term by term: a term
+    that reads outside ``support`` reads its first amplitude, at zero."""
+    position = np.full(core.space_dim(cycle.d), -1, dtype=np.intp)
+    position[support] = np.arange(len(support))
+    index = position[cycle.index[:, support]]
+    outside = index < 0
+    index[outside] = 0
+    return index, np.where(outside, 0.0, cycle.coeff[:, support])
+
+
+def merged_doublings(index, coeff, count):
+    """Powers of the gather form (index, coeff) as ``core`` squared them
+    before block squaring: each square substitutes the form into itself
+    and merges the terms that read one source (``merged_terms``), in
+    ``np.clongdouble``, and is rounded once."""
+    powers = [(index, coeff)]
+    coeff = coeff.astype(np.clongdouble)
     n = index.shape[1]
-    for j in range(1, count):
+    for _ in range(1, count):
         squared = (index[:, index].reshape(-1, n),
                    (coeff[:, index] * coeff).reshape(-1, n))
         index, coeff = merged_terms(*squared) if len(index) > 1 else squared
-        powers.append(core.ElementOp(f"({op.label})^{2**j}", op.d, index, coeff, op.dim))
+        powers.append((index, coeff.astype(np.complex128)))
     return powers
 
 
+def dense(index, coeff):
+    """Dense matrix of the gather form (index, coeff)."""
+    n = index.shape[1]
+    m = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(m, (np.broadcast_to(np.arange(n), index.shape), index), coeff)
+    return m
+
+
+def kind_configs(kind, rng, cycle_counts):
+    """Opaque, transparent, binary and semi-transparent objects of ``kind``
+    at each of ``cycle_counts``, with the cycle and the input of each."""
+    for d in (1,) if not KINDS[kind].per_pixel else (1, 2, 5, 12):
+        objects = [PixelPattern.opaque(d), PixelPattern.transparent(d),
+                   PixelPattern.from_bits(rng.integers(0, 2, size=d)),
+                   PixelPattern(tuple(rng.choice([0.0, 1.0, 0.3, 0.77, 0.05], size=d)))]
+        for pattern, n_cycles in itertools.product(objects, cycle_counts):
+            config = schemes.SchemeConfig(kind, pattern, n_cycles)
+            cycle = core.compose(schemes.build_scheme(config).cycle_elements)
+            start = make_initial_state(d, 0 if config.spec.single_pass else d).flat
+            yield config, cycle, start
+
+
 class TestRestrictedForms:
-    def test_reachable_support_and_restricted_cycle(self):
+    def test_support_and_blocks_of_the_cycle(self):
         rng = np.random.default_rng(23)
         for d in range(1, 7):
             transmissions = rng.uniform(0.1, 0.9, size=d)
             cycle = core.compose(zeno_cycle(d, 0.2, transmissions))
             start = core.make_initial_state(d, d).flat
-            support = core.reachable(cycle, start, 50)
+            support, index, coeff = core.support_blocks(cycle, start, 50)
             sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
             assert set(support) == set(sites[:, :, d].ravel())
-            restricted = cycle.restrict(support)
-            assert restricted.dim == 2 * d
+            assert index.shape == coeff.shape == (2, 2 * d)
+            assert coeff.dtype == np.complex128
+            assert not index.flags.writeable and not coeff.flags.writeable
             full, small = start, start[support]
             for _ in range(5):
-                full, small = cycle.apply_flat(full), restricted.apply_flat(small)
+                full, small = cycle.apply_flat(full), core.gather(index, coeff, small)
                 assert np.array_equal(full[support], small)
                 assert np.count_nonzero(np.delete(full, support)) == 0
 
-    def test_reachable_stops_after_the_given_steps(self):
+    def test_closure_stops_after_the_given_steps(self):
         cycle = core.compose(zeno_cycle(3, 0.2, (0.5, 0.5, 0.5)))
         start = core.make_initial_state(3, 3).flat
-        assert np.array_equal(core.reachable(cycle, start, 0), np.flatnonzero(start))
-        assert len(core.reachable(cycle, start, 1)) == 6
+        assert np.array_equal(core.support_blocks(cycle, start, 0)[0], np.flatnonzero(start))
+        assert len(core.support_blocks(cycle, start, 1)[0]) == 6
 
-    def test_doublings_are_accurate_powers(self):
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_first_cycle_on_the_blocks_equals_the_full_cycle(self, kind):
+        # Row 0 of a run's trace is the block form applied to the input.
+        rng = np.random.default_rng(40 + sorted(KINDS).index(kind))
+        for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257)):
+            support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
+            assert np.array_equal(core.gather(index, coeff, start[support]),
+                                  cycle.apply_flat(start)[support]), config
+
+    def test_block_powers_are_accurate_powers(self):
         cycle = core.compose(zeno_cycle(2, np.pi / 64, (0.3, 1.0)))
         start = core.make_initial_state(2, 2).flat
-        restricted = cycle.restrict(core.reachable(cycle, start, 64))
-        powers = core.doublings(restricted, 7)
-        assert powers[0] is restricted
+        support, index, coeff = core.support_blocks(cycle, start, 64)
+        powers = core.block_powers(index, coeff, 7)
+        assert powers[0] is coeff
         for j, power in enumerate(powers):
-            assert power.dim == restricted.dim and power.index.shape[0] <= 2
-            reference = np.linalg.matrix_power(restricted.matrix, 2**j)
-            assert np.max(np.abs(power.matrix - reference)) <= 1e-15 * 2**j
+            assert power.shape == index.shape and power.dtype == np.complex128
+            reference = np.linalg.matrix_power(cycle.matrix[np.ix_(support, support)], 2**j)
+            assert np.max(np.abs(dense(index, power) - reference)) <= 1e-15 * 2**j
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_block_squares_equal_merged_squares_bit_for_bit(self, kind):
         rng = np.random.default_rng(sorted(KINDS).index(kind))
-        sizes = (1,) if not KINDS[kind].per_pixel else (1, 2, 5, 12)
-        for d in sizes:
-            objects = [PixelPattern.opaque(d), PixelPattern.transparent(d),
-                       PixelPattern.from_bits(rng.integers(0, 2, size=d)),
-                       PixelPattern(tuple(rng.choice([0.0, 1.0, 0.3, 0.77, 0.05], size=d)))]
-            for pattern, n_cycles in itertools.product(objects, (1, 2, 3, 255, 256, 257, 2048)):
-                config = schemes.SchemeConfig(kind, pattern, n_cycles)
-                cycle = core.compose(schemes.build_scheme(config).cycle_elements)
-                start = make_initial_state(d, 0 if config.spec.single_pass else d).flat
-                restricted = cycle.restrict(core.reachable(cycle, start, n_cycles))
-                vec = [1.0, 1j] @ rng.normal(size=(2, restricted.dim))
-                powers = core.doublings(restricted, 12)
-                for power, reference in zip(powers, merged_doublings(restricted, 12),
-                                            strict=True):
-                    assert np.array_equal(power.matrix, reference.matrix), (config, power)
-                    assert np.array_equal(power.apply_flat(vec), reference.apply_flat(vec))
+        for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
+            support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
+            vec = [1.0, 1j] @ rng.normal(size=(2, len(support)))
+            powers = core.block_powers(index, coeff, 12)
+            references = merged_doublings(*restricted_terms(cycle, support), 12)
+            for j, (power, reference) in enumerate(zip(powers, references, strict=True)):
+                assert np.array_equal(dense(index, power), dense(*reference)), (config, j)
+                assert np.array_equal(core.gather(index, power, vec),
+                                      core.gather(*reference, vec)), (config, j)
 
-    def test_doublings_of_a_three_amplitude_block(self):
+    def test_block_powers_of_a_three_amplitude_block(self):
         rng = np.random.default_rng(5)
         unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        # Amplitudes 1, 3 and 4 form the block; 0, 2 and 5 are blocks of
-        # one, each with a padding term that reads amplitude 3 at zero.
-        index = np.array([[0, 1, 2, 1, 1, 5], [3, 3, 3, 3, 3, 3], [0, 4, 2, 4, 4, 3]])
-        coeff = np.zeros((3, 6), dtype=complex)
-        coeff[0, [0, 2, 5]] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+        # On the twelve amplitudes of d = 2, amplitudes 1, 3 and 4 form a
+        # block; every other amplitude is a block of one, with padding
+        # terms that read amplitude 3 at zero.
+        n = core.space_dim(2)
+        index = np.tile(np.arange(n), (3, 1))
+        index[1] = 3
+        index[:, [1, 3, 4]] = [[1], [3], [4]]
+        coeff = np.zeros((3, n), dtype=complex)
+        coeff[0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
         coeff[:, [1, 3, 4]] = unitary.T
-        op = core.ElementOp("block", 1, index, coeff, dim=6)
-        powers = core.doublings(op, 9)
-        for j, power in enumerate(powers):
-            assert power.index.shape == (3, 6)
-            reference = np.linalg.matrix_power(op.matrix, 2**j)
-            assert np.max(np.abs(power.matrix - reference)) <= 1e-15 * 2**j
+        op = core.ElementOp("block", 2, index, coeff)
+        # The input holds amplitudes 0, 2, 3 and 9, so the support adds 1
+        # and 4, the rest of the block of 3.
+        start = np.zeros(n, dtype=complex)
+        start[[0, 2, 3, 9]] = 0.5
+        support, block_index, block_coeff = core.support_blocks(op, start, 5)
+        assert list(support) == [0, 1, 2, 3, 4, 9]
+        assert block_index.shape == (3, 6)
+        restricted = op.matrix[np.ix_(support, support)]
+        for j, power in enumerate(core.block_powers(block_index, block_coeff, 9)):
+            reference = np.linalg.matrix_power(restricted, 2**j)
+            assert np.max(np.abs(dense(block_index, power) - reference)) <= 1e-15 * 2**j
 
-    def test_doublings_of_one_form_is_the_form(self):
-        op = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
-        assert core.doublings(op, 1) == [op]
+    def test_block_powers_of_one_form_is_the_form(self):
+        cycle = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
+        _, index, coeff = core.support_blocks(cycle, core.make_initial_state(2, 2).flat, 4)
+        powers = core.block_powers(index, coeff, 1)
+        assert len(powers) == 1 and powers[0] is coeff
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
     def test_row_wise_merge_equals_add_at_merge(self, dtype):
@@ -641,14 +690,9 @@ class TestRestrictedForms:
         assert np.array_equal(merged[0], reference[0])
         assert merged[1].dtype == dtype and np.array_equal(merged[1], reference[1])
 
-    def test_gather_form_of_its_own_length(self):
-        op = core.ElementOp("pair", 1, [[1, 0]], [[1.0, 1.0]], dim=2)
-        assert op.dim == 2 and np.array_equal(op.apply_flat(np.array([2.0, 3.0])), [3.0, 2.0])
-        assert np.array_equal(op.apply_flat(np.eye(2)), [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="different lengths"):
-            core.compose([op, core.pockels_flip(1)])
+    def test_element_rejects_a_state_of_another_d(self):
         with pytest.raises(ValueError, match="applied to state"):
-            op.apply(core.make_initial_state(1, 0))
+            core.pockels_flip(1).apply(core.make_initial_state(2, 0))
 
     def test_elements_fixed_by_d_are_shared(self):
         assert core.oam_sorter(3) is core.oam_sorter(3)

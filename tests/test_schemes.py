@@ -422,7 +422,8 @@ class TestDoublingEngine:
                 config = SchemeConfig(kind, pattern, 300)
                 cycle = core.compose(build_scheme(config).cycle_elements)
                 start = core.make_initial_state(d, d).flat
-                assert len(core.reachable(cycle, start, config.n_cycles)) <= 2 * d
+                support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
+                assert len(support) <= 2 * d and index.shape[0] <= 2
 
 
 class TestSemitransparentTraceClosedForm:
