@@ -11,23 +11,15 @@ states are sub-normalized: the squared norm of a state is its survival
 probability and the deficit from one is the accumulated absorption
 probability.
 
-Every optical element is a linear map on the flattened amplitude vector,
-held in an :class:`ElementOp`.  Each element acts on one axis of the
-(2, d, d+1) state: an index map, a diagonal, or a 2x2 block.  It is stored
-as that action in gather form, where every output amplitude is a sum of K
-input amplitudes times coefficients, so applying it (:func:`gather`) costs
-O(K D) rather than the O(D^2) of a dense matrix; :func:`compose` multiplies
-gather forms and keeps K small.  A run's composed cycle then goes to
-:func:`support_blocks`, which finds the amplitudes the input reaches and
-returns the cycle on them as plain arrays in block gather form: on a
-cycling scheme, one 2x2 block per pixel that is not opaque.
-:func:`block_powers` squares that form block by block, with no merge of
-terms.
-
-What a run takes from d alone is built once per d and shared: the
-elements fixed by d, the input state, and the gather index of the
-rotator and of the attenuator, whose coefficients alone are built per
-run.  Every shared array is read-only.
+Every optical element (:class:`ElementOp`) is a rule on the (pol, ell,
+mode) labels of the basis states: an index map, a factor per label, or a
+2x2 block on each pair of labels that differ on one axis.  Nothing is
+stored per amplitude.  :func:`propagate` pushes labels along paths once per
+set of labels and run of rule shapes, and evaluates only the paths'
+coefficients per call.  :func:`support_blocks` gives a run's cycle on the
+amplitudes its input reaches, in block gather form, and
+:func:`block_powers` squares that form block by block.  Shared arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -94,6 +86,13 @@ class PhotonState:
     def from_flat(cls, d: int, flat: np.ndarray) -> "PhotonState":
         return cls(d, np.asarray(flat, dtype=np.complex128).reshape(2, d, d + 1))
 
+    @classmethod
+    def from_labels(cls, d: int, labels: np.ndarray, amps: np.ndarray) -> "PhotonState":
+        """State holding ``amps`` at the flat ``labels`` and zero elsewhere."""
+        flat = np.zeros(space_dim(d), dtype=np.complex128)
+        flat[labels] = amps
+        return cls.from_flat(d, flat)
+
     @property
     def flat(self) -> np.ndarray:
         return self.amps.reshape(-1)
@@ -116,33 +115,13 @@ class PhotonState:
 
 def basis_state(d: int, pol: int, ell: int, mode: int) -> PhotonState:
     """Unit basis state |pol, ell, mode>."""
-    amps = np.zeros((2, d, d + 1), dtype=np.complex128)
-    amps[pol, ell, mode] = 1.0
-    return PhotonState(d, amps)
+    return PhotonState.from_labels(d, [basis_index(d, pol, ell, mode)], [1.0])
 
 
-# Elements fixed by d alone are immutable, so each is built once per d and
-# shared by every scheme that uses it; so are the input state and the gather
-# index of the elements whose coefficients change from run to run.  Each
-# cache holds the values of its last 16 arguments.
+# The input photon and the elements fixed by d are immutable, so each is
+# built once per d and shared by every scheme that uses it.  Each cache
+# holds the values of its last 16 arguments.
 _per_d = functools.lru_cache(maxsize=16)
-
-
-@_per_d
-def make_initial_state(d: int, mode: int) -> PhotonState:
-    """Input photon on spatial mode ``mode``: H-polarised, equal OAM superposition.
-
-    The single-pass interferometers take it on mode 0, the cycling (Zeno)
-    schemes on the reference mode d.  The state is immutable, so each one
-    is built once and shared.
-    """
-    if d < 1:
-        raise ValueError(f"pixel count must be >= 1, got d={d}")
-    if not 0 <= mode <= d:
-        raise ValueError(f"entry mode {mode} outside 0..{d}")
-    amps = np.zeros((2, d, d + 1), dtype=np.complex128)
-    amps[POL_H, :, mode] = 1.0 / np.sqrt(d)
-    return PhotonState(d, amps)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -150,59 +129,58 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@_per_d
+def input_photon(d: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat labels and amplitudes of the input photon on mode ``mode``:
+    H-polarised, an equal superposition of the d OAM values.  The
+    single-pass interferometers take it on mode 0, the cycling (Zeno)
+    schemes on the reference mode d."""
+    if d < 1:
+        raise ValueError(f"pixel count must be >= 1, got d={d}")
+    if not 0 <= mode <= d:
+        raise ValueError(f"entry mode {mode} outside 0..{d}")
+    labels = (POL_H * d + np.arange(d)) * (d + 1) + mode
+    return _read_only(labels), _read_only(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
+
+
+@_per_d
+def make_initial_state(d: int, mode: int) -> PhotonState:
+    """The input photon (:func:`input_photon`) as a state, built once and shared."""
+    return PhotonState.from_labels(d, *input_photon(d, mode))
+
+
+# ---------------------------------------------------------------------------
+# Elements: rules on labels
+# ---------------------------------------------------------------------------
+
 class ElementOp:
-    """A linear optical element in gather form.
+    """A linear optical element on the labels of ``d`` pixels: one of three
+    rules, or a :class:`Chain` of them, applying ``rules`` in order.  A push of
+    a rule depends on its ``key`` (its identity, unless it says otherwise), so
+    elements are shared and not changed once built."""
 
-    Amplitude ``i`` of the output is ``sum_k coeff[k, i] * input[index[k, i]]``
-    over the flat vector of the D = 2d(d+1) amplitudes of ``d`` pixels, with
-    ``index`` and ``coeff`` of shape (K, D).  Index maps and diagonals need
-    one term per amplitude (``K = 1``), the 2x2 blocks two, so applying an
-    element costs O(K D).  ``matrix`` is a read-only dense view, built on
-    each access, for checks at small d.
-    """
+    def __init__(self, label: str, d: int) -> None:
+        self.label, self.d = label, d
 
-    label: str
-    d: int
-    index: np.ndarray
-    coeff: np.ndarray
+    @property
+    def rules(self) -> tuple["ElementOp", ...]:
+        return (self,)
 
-    def __post_init__(self) -> None:
-        n = space_dim(self.d)
-        # Read-only arrays are kept as given: the elements of one d share
-        # their index, and a permutation one broadcast 1.0 instead of a
-        # column of ones.
-        index = np.asarray(self.index, dtype=np.intp)
-        if index.flags.writeable:
-            index = index.copy()
-        coeff = np.asarray(self.coeff, dtype=np.complex128)
-        if coeff.flags.writeable:
-            coeff = coeff.copy()
-        if index.ndim != 2 or index.shape[0] < 1 or index.shape[1] != n \
-                or coeff.shape != index.shape:
-            raise ValueError(f"gather form must be two (K, {n}) arrays for d={self.d}, "
-                             f"got {index.shape} and {coeff.shape}")
-        # A negative index reads as a large unsigned one.
-        if index.view(np.uintp).max() >= n:
-            raise ValueError(f"gather index outside the {n} basis states")
-        index.setflags(write=False)
-        coeff.setflags(write=False)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "coeff", coeff)
+    @property
+    def key(self) -> object:
+        return self
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense matrix of the action, read-only."""
-        n = space_dim(self.d)
-        m = np.zeros((n, n), dtype=np.complex128)
-        np.add.at(m, (np.broadcast_to(np.arange(n), self.index.shape), self.index), self.coeff)
-        m.setflags(write=False)
-        return m
+        columns = self.apply_flat(np.eye(space_dim(self.d), dtype=np.complex128))
+        return _read_only(np.ascontiguousarray(columns.T))
 
     def apply_flat(self, vec: np.ndarray) -> np.ndarray:
         """Action on the last axis of ``vec``, one flat vector or a stack of
-        them; returns a new array."""
-        return gather(self.index, self.coeff, vec)
+        them; returns a new array.  From every label, an element reaches
+        every label."""
+        return propagate([self], np.arange(space_dim(self.d)), np.asarray(vec))[1]
 
     def apply(self, state: PhotonState) -> PhotonState:
         if state.d != self.d:
@@ -210,121 +188,217 @@ class ElementOp:
         return PhotonState.from_flat(state.d, self.apply_flat(state.flat))
 
     def __repr__(self) -> str:  # noqa: D105
-        return f"ElementOp({self.label!r}, d={self.d})"
+        return f"{type(self).__name__}({self.label!r}, d={self.d})"
 
 
-def gather(index: np.ndarray, coeff: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The gather form (``index``, ``coeff``) applied to the last axis of ``vec``."""
-    return (coeff * vec[..., index]).sum(axis=-2)
+class SiteMap(ElementOp):
+    """An index map: the amplitude on label x moves to label ``site_map(x)``.
 
-
-def _merge_terms(index: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the terms of each output amplitude that gather the same source."""
-    cols = np.arange(index.shape[1])
-    order = np.argsort(index, axis=0, kind="stable")
-    index, coeff = index[order, cols], coeff[order, cols]
-    new_source = np.empty(index.shape, dtype=bool)
-    new_source[0] = True
-    new_source[1:] = index[1:] != index[:-1]
-    slot = new_source.cumsum(axis=0) - 1
-    width = int(slot[-1].max()) + 1
-    # Padding terms gather the first source with a zero coefficient.
-    merged_index = np.repeat(index[:1], width, axis=0)
-    merged_coeff = np.zeros((width, index.shape[1]), dtype=coeff.dtype)
-    merged_index[slot, cols] = index
-    # Row by row, each output amplitude adds its terms in the sorted order,
-    # and no row writes one slot twice.
-    for row_slot, row_coeff in zip(slot, coeff):
-        merged_coeff[row_slot, cols] += row_coeff
-    return merged_index, merged_coeff
-
-
-def _then(index: np.ndarray, coeff: np.ndarray, next_index: np.ndarray,
-          next_coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather form of (index, coeff) followed by (next_index, next_coeff).
-
-    Substitutes the first form into the second; when that multiplies the
-    term count K, terms that read the same source amplitude are merged.
+    ``site_map`` maps (pol, ell, mode) label arrays to their images (arrays
+    broadcasting to one shape); it must be one to one on the basis, which
+    is checked on the labels it is evaluated on.
     """
-    # K multiplies only when both forms have several terms.
-    grows = len(index) > 1 and len(next_index) > 1
-    n = index.shape[1]
-    index = index[:, next_index].reshape(-1, n)
-    coeff = (coeff[:, next_index] * next_coeff).reshape(-1, n)
-    return _merge_terms(index, coeff) if grows else (index, coeff)
+
+    def __init__(self, label: str, d: int, site_map: Callable[..., tuple]) -> None:
+        super().__init__(label, d)
+        self.site_map = site_map
+
+    def image(self, labels: np.ndarray) -> np.ndarray:
+        """Flat images of the distinct flat ``labels``."""
+        try:
+            shape = (2, self.d, self.d + 1)
+            image = np.ravel_multi_index(np.broadcast_arrays(
+                *self.site_map(*np.unravel_index(labels, shape))), shape)
+        except ValueError as exc:
+            raise ValueError(f"{self.label}: site map leaves the basis") from exc
+        targets, hits = np.unique(image, return_counts=True)
+        if hits.max(initial=0) > 1:
+            raise ValueError(f"{self.label}: site map is not a bijection "
+                             f"(target {int(targets[hits.argmax()])} hit twice)")
+        return image
 
 
-def compose(ops: Sequence[ElementOp], label: str | None = None) -> ElementOp:
-    """Single element equivalent to applying ``ops`` in list order.
+class Factor(ElementOp):
+    """A diagonal: the amplitude on label x is multiplied by ``factor(x)``,
+    where ``factor`` maps (pol, ell, mode) label arrays to the factors."""
 
-    Each step substitutes the running product into the next element's gather
-    form (``_then``), so a product of index maps, diagonals and 2x2 blocks
-    on one pair keeps ``K <= 2``.
+    key = "factor"
+
+    def __init__(self, label: str, d: int, factor: Callable[..., np.ndarray]) -> None:
+        super().__init__(label, d)
+        self.factor = factor
+
+
+class Block(ElementOp):
+    """A 2x2 ``block`` on each pair of labels that hold ``pair[0]`` and
+    ``pair[1]`` on ``axis`` (0 pol, 1 ell, 2 mode) and agree on the others.
+
+    Member k of a pair holds ``pair[k]``; output member r is the sum over k
+    of ``block[r, k]`` times input member k.  A label outside every pair
+    passes unchanged.  Blocks on one pair share their pushes.
     """
+
+    def __init__(self, label: str, d: int, block: np.ndarray, axis: int,
+                 pair: tuple[int, int]) -> None:
+        super().__init__(label, d)
+        self.block, self.axis, self.pair = _read_only(np.array(block, complex)), axis, pair
+        size = (2, d, d + 1)[axis] if axis in (0, 1, 2) else 0
+        if self.block.shape != (2, 2) or len(set(pair)) != 2 \
+                or not all(0 <= v < size for v in pair):
+            raise ValueError(f"{label}: a block needs a 2x2 matrix and two distinct "
+                             f"values on axis 0, 1 or 2, got shape {self.block.shape}, "
+                             f"axis {axis}, pair {pair} for d={d}")
+        # Entry 2r + k is block[r, k]; entry 4 is the 1 of a label outside every pair.
+        self.entries = _read_only(np.append(self.block.ravel(), 1.0))
+
+    @property
+    def key(self) -> tuple:
+        return ("block", self.axis, self.pair)
+
+    def pairing(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each flat label's member index (-1 outside every pair) and partner."""
+        d = self.d
+        stride = (d * (d + 1), d + 1, 1)[self.axis]
+        value = labels // stride % (2, d, d + 1)[self.axis]
+        first, second = self.pair
+        member = np.where(value == first, 0, np.where(value == second, 1, -1))
+        return member, labels + np.where(member == 0, second - first, first - second) * stride
+
+
+class Chain(ElementOp):
+    """Elements applied in order (:func:`compose`)."""
+
+    def __init__(self, label: str, d: int, parts: Sequence[ElementOp]) -> None:
+        super().__init__(label, d)
+        self.parts = tuple(parts)
+
+    @property
+    def rules(self) -> tuple[ElementOp, ...]:
+        return tuple(rule for part in self.parts for rule in part.rules)
+
+
+def compose(ops: Sequence[ElementOp], label: str | None = None) -> Chain:
+    """Single element equivalent to applying ``ops`` in list order."""
     if not ops:
         raise ValueError("cannot compose an empty element sequence")
     d = ops[0].d
     if any(op.d != d for op in ops):
         raise ValueError("cannot compose elements built for different d")
-    index, coeff = ops[0].index, ops[0].coeff
-    for op in ops[1:]:
-        index, coeff = _then(index, coeff, op.index, op.coeff)
     if label is None:
         label = " > ".join(op.label for op in ops)
-    return ElementOp(label, d, index, coeff)
+    return Chain(label, d, tuple(ops))
 
 
-def support_blocks(cycle: ElementOp, vec: np.ndarray, steps: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The amplitudes ``vec`` reaches under ``cycle``, and ``cycle`` on them by blocks.
+def _push(rules: Sequence[ElementOp], sources: np.ndarray) -> tuple:
+    """Paths of the amplitudes at the sorted flat labels ``sources`` through
+    ``rules``: path p runs from source ``src[p]`` to label ``at[p]``.  A site
+    map moves each path; a block splits a path on a pair into one to each
+    member, and merges the paths from one source that meet on one label.
+    Also returns the source count, the sorted labels the paths end on, each
+    path's position among them, and the program of ``_coefficients``."""
+    n = space_dim(rules[0].d)
+    at, src = sources, np.arange(len(sources))
+    program = []
+    for position, rule in enumerate(rules):
+        if isinstance(rule, SiteMap):
+            labels, inverse = np.unique(at, return_inverse=True)
+            at = rule.image(labels)[inverse]
+        elif isinstance(rule, Factor):
+            program.append((position, np.unravel_index(at, (2, rule.d, rule.d + 1))))
+        else:
+            member, partner = rule.pairing(at)
+            paired = np.flatnonzero(member >= 0)
+            parent = np.concatenate((np.arange(len(at)), paired))
+            # A path on member k stays with block[k, k] and moves to its
+            # partner with block[1 - k, k].
+            entry = np.concatenate((np.where(member >= 0, 3 * member, 4), 2 - member[paired]))
+            merged, group = np.unique(src[parent] * n + np.concatenate((at, partner[paired])),
+                                      return_inverse=True)
+            src, at = np.divmod(merged, n)
+            program.append((position, (parent, entry, group, len(merged))))
+    outputs, out = np.unique(at, return_inverse=True)
+    return len(sources), at, src, _read_only(outputs), out, tuple(program)
 
-    Returns the sorted positions ``support`` of the amplitudes that ``vec``
-    holds or that ``steps`` applications of ``cycle`` can make non-zero (an
-    amplitude is reached when one of its terms reads a reached amplitude
-    with a non-zero coefficient; the closure stops early when a step
-    reaches nothing new), and the gather form (``index``, ``coeff``) of
-    ``cycle`` on ``vec[support]``.
 
-    A block is a set of amplitudes of the support that terms with non-zero
-    coefficients connect, so every power of the cycle maps each block into
-    itself: on a cycling scheme, one 2x2 block per pixel that is not opaque
-    and a 1x1 block per opaque one.  With b the size of the largest block,
-    term k of every amplitude reads the k-th amplitude of its block, in
-    increasing order; a smaller block repeats its first amplitude, with a
-    zero coefficient.
-    """
-    live = vec != 0
-    links = [(index, coeff != 0) for index, coeff in zip(cycle.index, cycle.coeff)]
-    for _ in range(min(steps, len(vec))):
-        grown = live.copy()
-        for index, feeds in links:
-            grown |= live[index] & feeds
-        if np.array_equal(grown, live):
+def _coefficients(sources: int, program: tuple, rules: Sequence[ElementOp]) -> np.ndarray:
+    """Each path's coefficient under ``rules``: the product of what each rule
+    multiplies it by, in rule order, summed where a block merged paths (in
+    the order made; with at most two paths to a merge, as in every scheme
+    here, the order cannot change the sum)."""
+    coeff = np.ones(sources, dtype=np.complex128)
+    for position, step in program:
+        rule = rules[position]
+        if isinstance(rule, Factor):
+            coeff = coeff * rule.factor(*step)
+        else:
+            parent, entry, group, count = step
+            merged = np.zeros(count, dtype=np.complex128)
+            np.add.at(merged, group, coeff[parent] * rule.entries[entry])
+            coeff = merged
+    return coeff
+
+
+# Pushes by what was built, source labels and rule keys: rules that differ
+# only in their values share one.  The cache keeps its last PUSHES_KEPT keys,
+# more than one ``verify`` (98) or a benchmark stream uses.
+PUSHES_KEPT = 256
+_PUSHES: dict = {}
+
+
+def _cached(build: Callable, labels: np.ndarray, rules: Sequence[ElementOp]) -> tuple:
+    key = (build, rules[0].d, labels.tobytes(), *(rule.key for rule in rules))
+    if key not in _PUSHES:
+        if len(_PUSHES) == PUSHES_KEPT:
+            del _PUSHES[next(iter(_PUSHES))]
+        _PUSHES[key] = build(rules, labels)
+    return _PUSHES[key]
+
+
+def propagate(ops: Sequence[ElementOp], labels: np.ndarray, amps: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes ``amps`` (over the sorted flat ``labels``, or a stack) after
+    ``ops`` in turn: the sorted labels they reach and, on each, the sum over
+    its paths, in source order, of coefficient times source amplitude."""
+    rules = tuple(rule for op in ops for rule in op.rules)
+    if not rules:
+        return labels, amps
+    sources, _, src, outputs, out, program = _cached(_push, labels, rules)
+    result = np.zeros((*amps.shape[:-1], len(outputs)), dtype=np.complex128)
+    np.add.at(result.T, out, (_coefficients(sources, program, rules) * amps[..., src]).T)
+    return outputs, result
+
+
+def gather(index: np.ndarray, coeff: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The gather form (``index``, ``coeff``) applied to the last axis of ``vec``:
+    amplitude i is the sum over k of ``coeff[k, i]`` times ``vec[index[k, i]]``."""
+    return (coeff * vec[..., index]).sum(axis=-2)
+
+
+def _cycle_blocks(rules: Sequence[ElementOp], start: np.ndarray) -> tuple:
+    """The labels ``start`` reaches under a cycle's ``rules`` whatever their
+    values, the mask of ``start`` over them, the source count and program
+    of the cycle's paths from them, the block gather index, and each path's
+    term and amplitude in it."""
+    support = np.sort(start)
+    while True:
+        sources, at, src, outputs, _, program = _push(rules, support)
+        new = outputs[~np.isin(outputs, support, assume_unique=True)]
+        if not len(new):
             break
-        live = grown
-    support = np.flatnonzero(live)
+        support = np.sort(np.concatenate((support, new)))
     n = len(support)
-    # The cycle's terms on the support; a term that reads outside it reads
-    # the support's first amplitude, with a zero coefficient.
-    rank = np.full(len(vec), -1, dtype=np.intp)
-    rank[support] = np.arange(n)
-    sources = rank[cycle.index[:, support]]
-    outside = sources < 0
-    sources[outside] = 0
-    terms = np.where(outside, 0.0, cycle.coeff[:, support])
-    connected = terms != 0
-    reader, source = np.nonzero(connected)[1], sources[connected]
-    ends, other_ends = np.concatenate((reader, source)), np.concatenate((source, reader))
-    # Each amplitude's root, the smallest amplitude of its block: the least
-    # root at either end of a connection, until both ends of each agree.
+    out = np.searchsorted(support, at)
+    # Each amplitude is labelled by the least one of its block, the set that
+    # paths connect: the least label spreads along every path, both ways.
     root = np.arange(n)
     while True:
         low = root.copy()
-        np.minimum.at(low, ends, root[other_ends])
-        root = low[low]
-        if (root[ends] == root[other_ends]).all():
+        np.minimum.at(low, out, root[src])
+        np.minimum.at(low, src, root[out])
+        if np.array_equal(low, root):
             break
-    # Blocks are numbered by root; within one, amplitudes by index.
+        root = low
+    # Blocks are numbered by root; within one, amplitudes by label.
     order = np.argsort(root, kind="stable")
     grouped = root[order]
     position = np.empty(n, dtype=np.intp)
@@ -332,13 +406,49 @@ def support_blocks(cycle: ElementOp, vec: np.ndarray, steps: int
     columns = np.arange(n)
     members = np.repeat(columns[:, None], position.max() + 1, axis=1)
     members[root, position] = columns
-    index = _read_only(np.ascontiguousarray(members[root].T))
+    return (_read_only(support), _read_only(np.isin(support, start, assume_unique=True)),
+            sources, program, _read_only(np.ascontiguousarray(members[root].T)), position[src], out)
+
+
+def reach(cycle: ElementOp, start: np.ndarray) -> np.ndarray:
+    """Sorted flat labels an input at ``start`` can reach under ``cycle`` whatever its values."""
+    return _cached(_cycle_blocks, start, cycle.rules)[0]
+
+
+def support_blocks(cycle: ElementOp, start: np.ndarray, steps: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitudes an input at ``start`` reaches under ``cycle``, and ``cycle`` on them by blocks.
+
+    ``start`` holds the sorted flat labels of the input's non-zero
+    amplitudes.  Returns the sorted labels ``support`` that the input holds
+    or that ``steps`` applications of ``cycle`` can make non-zero (an
+    amplitude is reached when one of its terms reads a reached amplitude
+    with a non-zero coefficient; the closure stops early when a step
+    reaches nothing new), and the gather form (``index``, ``coeff``) of
+    ``cycle`` on the amplitudes at ``support``.
+
+    A block is a set of amplitudes that the cycle's paths connect, so every
+    power of the cycle maps each block into itself.  Term k of an amplitude
+    reads the k-th amplitude of its block, in increasing order; a smaller
+    block repeats its first amplitude, and a term that would read an
+    amplitude the input does not reach (the V amplitude of an opaque pixel)
+    reads the amplitude itself, both at zero.
+    """
+    labels, live, sources, program, index, slot, out = _cached(_cycle_blocks, start, cycle.rules)
     coeff = np.zeros(index.shape, dtype=np.complex128)
-    # A term that reads outside the block has a zero coefficient, so adding
-    # it at the slot of its source's position leaves every value as it is.
-    for source, term in zip(sources, terms):
-        coeff[position[source], columns] += term
-    return support, index, _read_only(coeff)
+    coeff[slot, out] += _coefficients(sources, program, cycle.rules)
+    links = coeff != 0
+    for _ in range(min(steps, len(live))):
+        grown = live | (live[index] & links).any(axis=0)
+        if np.array_equal(grown, live):
+            break
+        live = grown
+    if live.all():
+        return labels, index, _read_only(coeff)
+    reads, kept = live[index], np.flatnonzero(live)
+    index = (np.cumsum(live) - 1)[np.where(reads, index, np.arange(len(live)))]
+    return (_read_only(labels[kept]), _read_only(index[:, kept]),
+            _read_only(np.where(reads, coeff, 0)[:, kept]))
 
 
 def block_powers(index: np.ndarray, coeff: np.ndarray, count: int) -> list[np.ndarray]:
@@ -365,89 +475,14 @@ def block_powers(index: np.ndarray, coeff: np.ndarray, count: int) -> list[np.nd
     for _ in range(1, count):
         # Term s of amplitude i sums, over the amplitudes m of its block,
         # what m reads from the s-th amplitude times what i reads from m.
-        # ``_then`` multiplies in that order, so each square equals the
-        # merged product of the form with itself.
         wide = (wide[:, index] * wide).sum(axis=1)
         powers.append(_read_only(wide.astype(np.complex128)))
     return powers
 
 
-def permutation_op(
-    d: int,
-    site_map: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
-    label: str,
-) -> ElementOp:
-    """Unitary element that permutes basis states via ``site_map``.
-
-    ``site_map`` maps the (pol, ell, mode) label arrays of all basis states,
-    of shape (2, d, d+1), to their images (arrays broadcasting to that
-    shape); it must be a bijection on the basis.
-    """
-    n = space_dim(d)
-    shape = (2, d, d + 1)
-    try:
-        dst = np.ravel_multi_index(np.broadcast_arrays(*site_map(*np.indices(shape))), shape)
-    except ValueError as exc:
-        raise ValueError(f"{label}: site map leaves the basis") from exc
-    dst = dst.ravel()
-    hits = np.bincount(dst, minlength=n)
-    if hits.max() > 1:
-        raise ValueError(f"{label}: site map is not a bijection "
-                         f"(target {int(hits.argmax())} hit twice)")
-    index = np.empty(n, dtype=np.intp)
-    index[dst] = np.arange(n)
-    return ElementOp(label, d, index[None], np.broadcast_to(np.complex128(1.0), (1, n)))
-
-
-def diagonal_op(d: int, factors: np.ndarray, label: str) -> ElementOp:
-    """Element that multiplies each basis amplitude by a fixed factor."""
-    factors = np.asarray(factors, dtype=np.complex128).reshape(1, -1)
-    return ElementOp(label, d, _diagonal_index(d), factors)
-
-
-def block_op(d: int, block: np.ndarray, first: np.ndarray, second: np.ndarray,
-             label: str) -> ElementOp:
-    """Unitary element applying the 2x2 ``block`` to each amplitude pair.
-
-    Pair j is (``first[j]``, ``second[j]``) in flat indices; the block maps
-    the pair's amplitudes (a, b) to (b00 a + b01 b, b10 a + b11 b).
-    Amplitudes outside every pair pass unchanged.
-    """
-    n = space_dim(d)
-    index = np.tile(np.arange(n), (2, 1))
-    coeff = np.zeros((2, n), dtype=np.complex128)
-    coeff[0] = 1.0
-    for sites, row in ((first, block[0]), (second, block[1])):
-        index[:, sites] = first, second
-        coeff[:, sites] = row[:, None]
-    return ElementOp(label, d, index, coeff)
-
-
-def _sites(d: int) -> np.ndarray:
-    """Flat index of every basis state, shaped (2, d, d+1) like the amplitudes."""
-    return np.arange(space_dim(d)).reshape(2, d, d + 1)
-
-
 # ---------------------------------------------------------------------------
 # Element constructors
 # ---------------------------------------------------------------------------
-
-@_per_d
-def _diagonal_index(d: int) -> np.ndarray:
-    """Gather index of a diagonal: every amplitude reads itself."""
-    return _read_only(np.arange(space_dim(d))[None])
-
-
-@_per_d
-def _hv_pair_index(d: int) -> np.ndarray:
-    """Gather index of a 2x2 block on every (H, V) pair of amplitudes.
-
-    The H amplitudes fill the first half of the flat vector and the V
-    amplitudes the second, so amplitude i of either half reads amplitude i
-    of each half.
-    """
-    return _read_only(np.tile(np.arange(space_dim(d)).reshape(2, -1), 2))
-
 
 @_per_d
 def beam_splitter(d: int) -> ElementOp:
@@ -458,9 +493,7 @@ def beam_splitter(d: int) -> ElementOp:
     constructively on mode 0.  Modes 1..d-1 are untouched.
     """
     r = 1.0 / np.sqrt(2.0)
-    block = np.array([[r, r], [r, -r]], dtype=np.complex128)
-    sites = _sites(d)
-    return block_op(d, block, sites[..., 0].ravel(), sites[..., d].ravel(), "BS")
+    return Block("BS", d, np.array([[r, r], [r, -r]]), 2, (0, d))
 
 
 @_per_d
@@ -476,7 +509,7 @@ def polarising_beam_splitter(d: int) -> ElementOp:
         v = pol == POL_V
         return pol, ell, np.where(v & (mode == 0), d, np.where(v & (mode == d), 0, mode))
 
-    return permutation_op(d, site_map, "PBS")
+    return SiteMap("PBS", d, site_map)
 
 
 def polarisation_rotator(theta: float, d: int) -> ElementOp:
@@ -486,11 +519,7 @@ def polarisation_rotator(theta: float, d: int) -> ElementOp:
     |V> -> -sin(theta)|H> + cos(theta)|V>.
     """
     c, s = np.cos(theta), np.sin(theta)
-    block = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    # Term k of an H amplitude reads it (k = 0) or its V partner (k = 1)
-    # with block[0, k]; term k of a V amplitude does with block[1, k].
-    coeff = np.repeat(block.T, space_dim(d) // 2, axis=1)
-    return ElementOp(f"R({theta:.6g})", d, _hv_pair_index(d), coeff)
+    return Block(f"R({theta:.6g})", d, np.array([[c, -s], [s, c]]), 0, (POL_H, POL_V))
 
 
 @_per_d
@@ -508,7 +537,7 @@ def oam_sorter(d: int, inverse: bool = False) -> ElementOp:
         return pol, ell, np.where(mode == d, mode, (mode + sign * ell) % d)
 
     name = "S^-1" if inverse else "S"
-    return permutation_op(d, site_map, name)
+    return SiteMap(name, d, site_map)
 
 
 @_per_d
@@ -525,7 +554,7 @@ def oam_converter(d: int, inverse: bool = False) -> ElementOp:
         return pol, np.where(mode == d, ell, (ell + sign * mode) % d), mode
 
     name = "c^-1" if inverse else "c"
-    return permutation_op(d, site_map, name)
+    return SiteMap(name, d, site_map)
 
 
 def object_attenuator(pattern: "PixelPattern", placement: str) -> ElementOp:
@@ -539,14 +568,15 @@ def object_attenuator(pattern: "PixelPattern", placement: str) -> ElementOp:
     """
     d = pattern.d
     roots = np.sqrt(np.asarray(pattern.transmissions, dtype=np.float64))
-    factors = np.ones((2, d, d + 1), dtype=np.complex128)
     if placement == "pixel-paths":
-        factors[:, :, :d] = roots
+        def factor(pol, ell, mode):
+            return np.where(mode < d, roots[np.minimum(mode, d - 1)], 1.0)
     elif placement == "oam-diagonal":
-        factors[:, :, 0] = roots
+        def factor(pol, ell, mode):
+            return np.where(mode == 0, roots[ell], 1.0)
     else:
         raise ValueError(f"unknown object placement {placement!r}")
-    return diagonal_op(d, factors, f"object({placement})")
+    return Factor(f"object({placement})", d, factor)
 
 
 @_per_d
@@ -556,7 +586,7 @@ def pockels_flip(d: int) -> ElementOp:
     def site_map(pol, ell, mode):
         return 1 - pol, ell, mode
 
-    return permutation_op(d, site_map, "P")
+    return SiteMap("P", d, site_map)
 
 
 @_per_d
@@ -569,11 +599,11 @@ def mirror_reflect(mirror: str, d: int) -> ElementOp:
     if mirror == "retro":
         def site_map(pol, ell, mode):
             return pol, ell, mode
-        return permutation_op(d, site_map, "RR")
+        return SiteMap("RR", d, site_map)
     if mirror == "plain":
         def site_map(pol, ell, mode):
             return pol, (d - ell) % d, mode
-        return permutation_op(d, site_map, "M")
+        return SiteMap("M", d, site_map)
     raise ValueError(f"unknown mirror kind {mirror!r}")
 
 
@@ -589,7 +619,7 @@ def arm_mirrors(d: int) -> ElementOp:
     def site_map(pol, ell, mode):
         return pol, np.where(mode == d, ell, (d - ell) % d), mode
 
-    return permutation_op(d, site_map, "arm mirrors")
+    return SiteMap("arm mirrors", d, site_map)
 
 
 # ---------------------------------------------------------------------------

@@ -15,25 +15,15 @@ The single-pixel kinds ``ev-single-pass`` and ``zeno-single-pixel`` are
 the first two at d = 1, read under their own detector labels.  The object,
 not the kind, decides what a run can be reconstructed into.
 
-``run_scheme`` composes each scheme's cycle into one gather-form element,
-and ``core.support_blocks`` gives it back on the amplitudes the input
-photon reaches, by blocks: a cycling run starts and ends every cycle on
-the reference mode, so at most 2d of the 2d(d+1) amplitudes, one 2x2
-block per pixel that is not opaque.  The states after cycles 1..N come
-from doubling on that support, in blocks of ``BLOCK_ROWS`` rows, and give
-the survival trace; the last state goes back into the full space for the
-switch-out and the detectors.  Every cycle count and every kind runs
-through this one path.
-
-A run builds only what depends on its angle and its object: the rotator's
-and the attenuator's coefficients.  What it takes from (kind, d) alone is
-built on first use and shared by later runs of that (kind, d): the
-elements fixed by d and the input state (``core``), the detector map, and
-the product of each run of elements fixed by d in the cycle (its stages,
-``BuiltScheme.cycle_stages``).  The products are keyed by the element
-objects, so a replaced element is composed afresh.  A process gains from
-this when it runs the same (kind, d) again, as a benchmark stream or a
-sweep does.
+``run_scheme`` pushes the input photon's labels through the cycle's rules
+(``core.support_blocks``) to the amplitudes they reach, on a cycling scheme
+at most 2d of the 2d(d+1), one 2x2 block per pixel.  The states after
+cycles 1..N come from doubling there, ``BLOCK_ROWS`` rows at a time; the
+switch-out acts on the last state by label, and only the readout holds the
+full space.  Every kind and cycle count runs through this one path.  A run
+evaluates only its rotator's block and its object's factors; the rest is
+built once per (kind, d) and shared, keyed by the elements of its index
+maps, so a replaced element is pushed afresh.
 """
 
 from __future__ import annotations
@@ -68,6 +58,11 @@ ROUNDING_ULPS_PER_APPLICATION = 2.0
 
 # Rows of trace states held at once by ``run_scheme``; a power of two.
 BLOCK_ROWS = 256
+
+# Bytes of the (rows, terms, amplitudes) temporary of one gather over trace
+# rows: from about 200 KB they are mapped afresh on every call, and the page
+# faults cost more than the gather (256 rows of 32 amplitudes: 0.33 ms, 0.11 ms in two).
+SLAB_BYTES = 128 * 1024
 
 # Layouts of a scheme: one pass through a balanced interferometer, N weak
 # cycles, or N cycles folded into a Michelson arm.
@@ -205,21 +200,12 @@ class SchemeTrace:
 
 @dataclass(frozen=True)
 class BuiltScheme:
-    """Element sequence and readout of one experiment.
+    """Element sequence and readout of one experiment."""
 
-    ``cycle_stages`` is the cycle in the stages that ``run_scheme``
-    composes: a stage of several elements is a run of elements fixed by d,
-    composed once for each run of element objects (``_stage_product``).
-    """
-
-    cycle_stages: tuple[tuple[ElementOp, ...], ...]
+    cycle_elements: tuple[ElementOp, ...]
     switch_out: tuple[ElementOp, ...]
     n_cycles: int
     detector_map: DetectorMap
-
-    @property
-    def cycle_elements(self) -> tuple[ElementOp, ...]:
-        return tuple(op for stage in self.cycle_stages for op in stage)
 
     @property
     def applications(self) -> int:
@@ -238,57 +224,37 @@ def encoder_elements(config: SchemeConfig) -> tuple[ElementOp, ...]:
 
     The folded scheme adds its arm mirror stage behind the object.
     """
-    return tuple(op for stage in _encoder_stages(config) for op in stage)
-
-
-def _encoder_stages(config: SchemeConfig) -> tuple[tuple[ElementOp, ...], ...]:
-    """The encoder in three stages: before the object, the object, behind it."""
     d = config.d
     mirrors = (core.arm_mirrors(d),) if config.spec.layout == FOLDED else ()
-    return (
-        (core.oam_sorter(d), core.oam_converter(d)),
-        (core.object_attenuator(config.pattern, "pixel-paths"),),
-        (*mirrors, core.oam_converter(d, inverse=True), core.oam_sorter(d, inverse=True)),
-    )
-
-
-def _port_detector_map(d: int) -> DetectorMap:
-    """OAM-resolved detectors behind the two output ports.
-
-    Mode 0, the bright port for a fully transparent object, carries the
-    labels D0_ell, the dark mode d the labels Dd_ell.  Both pols feed the
-    same port detector.
-    """
-    groups: dict[str, list[tuple[int, int, int]]] = {}
-    for ell in range(d):
-        groups[core.port_detector_label("0", ell)] = [
-            (pol, ell, 0) for pol in (POL_H, POL_V)
-        ]
-    for ell in range(d):
-        groups[core.port_detector_label("d", ell)] = [
-            (pol, ell, d) for pol in (POL_H, POL_V)
-        ]
-    return DetectorMap.from_groups(d, groups)
-
-
-def _pol_detector_map(d: int) -> DetectorMap:
-    """Polarisation- and OAM-resolved detectors on the readout mode d."""
-    groups: dict[str, list[tuple[int, int, int]]] = {}
-    for ell in range(d):
-        groups[core.pol_detector_label(ell, POL_H)] = [(POL_H, ell, d)]
-        groups[core.pol_detector_label(ell, POL_V)] = [(POL_V, ell, d)]
-    return DetectorMap.from_groups(d, groups)
+    return (core.oam_sorter(d), core.oam_converter(d),
+            core.object_attenuator(config.pattern, "pixel-paths"),
+            *mirrors, core.oam_converter(d, inverse=True), core.oam_sorter(d, inverse=True))
 
 
 @functools.lru_cache(maxsize=64)
 def _detector_map(kind: str, d: int) -> DetectorMap:
-    """The detector map of ``kind`` at ``d``, under the kind's labels."""
+    """The detector map of ``kind`` at ``d``, under the kind's labels.
+
+    A single-pass kind reads the OAM-resolved detectors behind its output
+    ports, both pols on each: D0_ell on mode 0, the bright port for a fully
+    transparent object, and Dd_ell on the dark mode d.  The other kinds read
+    the polarisation- and OAM-resolved detectors on the readout mode d.
+    """
     spec = KINDS[kind]
-    dmap = _port_detector_map(d) if spec.single_pass else _pol_detector_map(d)
-    if not spec.names:
-        return dmap
-    return DetectorMap(d, tuple(spec.names.get(label, label) for label in dmap.labels),
-                       dmap.assignment)
+    ell = np.arange(d)
+    assignment = np.full(core.space_dim(d), -1)
+    for pol in (POL_H, POL_V):
+        mode_0, mode_d = (np.ravel_multi_index((pol, ell, m), (2, d, d + 1)) for m in (0, d))
+        if spec.single_pass:
+            assignment[mode_0] = ell
+            assignment[mode_d] = d + ell
+        else:
+            assignment[mode_d] = 2 * ell + pol
+    if spec.single_pass:
+        labels = [core.port_detector_label(port, e) for port in "0d" for e in range(d)]
+    else:
+        labels = [core.pol_detector_label(e, pol) for e in range(d) for pol in (POL_H, POL_V)]
+    return DetectorMap(d, tuple(spec.names.get(label, label) for label in labels), assignment)
 
 
 def build_scheme(config: SchemeConfig) -> BuiltScheme:
@@ -299,67 +265,60 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     port) directly.  A single-pixel kind is built as its multi-pixel kind
     at d = 1, with the detector labels renamed (``Kind.names``).  The folded
     layout's h/v exchange comes from its Pockels switch-out, not from a
-    renaming.  The ports join the encoder's first and last stages.
+    renaming.
     """
     d = config.d
     spec = config.spec
     dmap = _detector_map(config.kind, d)
     port = core.beam_splitter(d) if spec.single_pass else core.polarising_beam_splitter(d)
-    before, target, behind = _encoder_stages(config)
-    stages = ((port, *before), target, (*behind, port))
+    elements = (port, *encoder_elements(config), port)
     if spec.single_pass:
-        return BuiltScheme(stages, (), 1, dmap)
+        return BuiltScheme(elements, (), 1, dmap)
 
-    rotator = (core.polarisation_rotator(config.effective_theta, d),)
+    rotator = core.polarisation_rotator(config.effective_theta, d)
     if spec.layout == FOLDED:
-        return BuiltScheme((rotator, (core.mirror_reflect("retro", d),), rotator, *stages),
+        return BuiltScheme((rotator, core.mirror_reflect("retro", d), rotator, *elements),
                            (core.pockels_flip(d),), config.n_cycles, dmap)
-    return BuiltScheme((rotator, *stages), (), config.n_cycles, dmap)
-
-
-@functools.lru_cache(maxsize=64)
-def _stage_product(stage: tuple[ElementOp, ...]) -> ElementOp:
-    """One element for a stage of elements fixed by d, composed once.
-
-    The key is the tuple of element objects (an ``ElementOp`` hashes by
-    identity), so a stage holding a new element is composed afresh.
-    """
-    return core.compose(stage)
+    return BuiltScheme((rotator, *elements), (), config.n_cycles, dmap)
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    The cycle's stages are composed once and taken, by blocks, onto the
-    amplitudes the input reaches within ``n_cycles`` cycles (at most 2d of
-    the 2d(d+1) on a cycling scheme; ``core.support_blocks``).  The states
-    after cycles 1..N are then built by doubling (``_evolve``).  The last
-    state goes back into the full space for the switch-out and the
-    readout.  Returns the final (sub-normalized) state, the detection
-    distribution and the per-cycle survival trace.  A survival within the
-    rounding budget of the element applications so far reads as 1 in the
-    trace and the readout.
+    Returns the final (sub-normalized) state, the detection distribution and
+    the per-cycle survival trace.  A survival within the rounding budget of
+    the element applications so far reads as 1 in the trace and the readout.
     """
     built = build_scheme(config)
-    cycle = core.compose([stage[0] if len(stage) == 1 else _stage_product(stage)
-                          for stage in built.cycle_stages], label="cycle")
-    start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
-    support, index, coeff = core.support_blocks(cycle, start, built.n_cycles)
-    survival, last = _evolve(index, coeff, start[support], built.n_cycles)
-    vec = np.zeros_like(start)
-    vec[support] = last
-    for op in built.switch_out:
-        vec = op.apply_flat(vec)
+    labels, survival, last = _cycles(config, built)
+    final_state = PhotonState.from_labels(config.d, *core.propagate(built.switch_out, labels, last))
 
     per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
     cycles = np.arange(1, built.n_cycles + 1)
     survival[np.abs(1.0 - survival) <= per_application * cycles * len(built.cycle_elements)] = 1.0
     before = np.concatenate(([1.0], survival[:-1]))
     kept = np.divide(survival, before, out=np.ones_like(survival), where=before > 0.0)
-    final_state = PhotonState.from_flat(config.d, vec)
     distribution = core.detection_distribution(final_state, built.detector_map,
                                                per_application * built.applications)
     return SchemeResult(final_state, distribution, SchemeTrace(survival, 1.0 - kept))
+
+
+def _cycles(config: SchemeConfig, built: BuiltScheme
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labels the input can reach in ``built``'s cycles whatever the object
+    (``core.reach``, shared by every run of the kind and d), the survival after
+    each cycle before the rounding clamp, and the last state on those labels."""
+    d = config.d
+    cycle = core.compose(built.cycle_elements, label="cycle")
+    start, amps = core.input_photon(d, 0 if config.spec.single_pass else d)
+    support, index, coeff = core.support_blocks(cycle, start, built.n_cycles)
+    first = np.zeros(len(support), dtype=np.complex128)
+    first[np.searchsorted(support, start)] = amps
+    survival, last = _evolve(index, coeff, first, built.n_cycles)
+    labels = core.reach(cycle, start)
+    held = np.zeros(len(labels), dtype=np.complex128)
+    held[np.searchsorted(labels, support)] = last
+    return labels, survival, held
 
 
 def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
@@ -372,17 +331,27 @@ def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
     rows [n, 2n) are rows [0, n) times C^n; each later block is the one
     before times C^B.  The coefficients of C^n come from
     ``core.block_powers``, each rounded once from a more precise product.
-    Memory is one block, not one row per cycle.
+    Memory is one block, not one row per cycle.  Gathers run over slabs of
+    rows within ``SLAB_BYTES``; a row's arithmetic does not depend on them.
     """
     rows = min(n_cycles, BLOCK_ROWS)
     doublings = (rows - 1).bit_length()
     powers = core.block_powers(index, coeff, max(1, doublings + (n_cycles > rows)))
+    slab = max(1, SLAB_BYTES // (16 * index.size))
+
+    def advance(power: np.ndarray, target: int, count: int) -> None:
+        # Rows [target, target + count) become rows [0, count) times the power.
+        for row in range(0, count, slab):
+            rows = min(slab, count - row)
+            block[target + row:target + row + rows] = core.gather(index, power,
+                                                                   block[row:row + rows])
+
     block = np.empty((rows, len(start)), dtype=np.complex128)
     block[0] = core.gather(index, coeff, start)
     filled = 1
     for power in powers[:doublings]:
         count = min(filled, rows - filled)
-        block[filled:filled + count] = core.gather(index, power, block[:count])
+        advance(power, filled, count)
         filled += count
     survival = np.empty(n_cycles)
     done = 0
@@ -393,7 +362,7 @@ def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
         if done == n_cycles:
             return survival, block[count - 1]
         count = min(rows, n_cycles - done)
-        block[:count] = core.gather(index, powers[-1], block[:count])
+        advance(powers[-1], 0, count)
 
 
 def final_state_ideal(config: SchemeConfig) -> PhotonState:

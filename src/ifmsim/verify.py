@@ -3,8 +3,8 @@
 Each check returns a named pass/fail result; the CLI ``verify`` command runs
 them all and exits nonzero if any fail.  Element constructors are looked up
 on the core module at call time so a faulty element injected by a test is
-caught by the structural suites, which run each element's gather-form
-action, the one the simulator applies.
+caught by the structural suites, which evaluate each element's rule on
+all labels: the rule a run pushes its photon's labels through.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 
 from ifmsim import analytics, cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
-from ifmsim.core import PixelPattern, space_dim
+from ifmsim.core import PixelPattern
 from ifmsim.schemes import SchemeConfig, SchemeTrace, run_scheme
 
 
@@ -609,8 +609,7 @@ class TestCmdVerify:
     def test_injected_rotator_sign_error_fails_unitarity(self, monkeypatch):
         def broken_rotator(theta, d):
             c, s = np.cos(theta), np.sin(theta)
-            sites = np.arange(space_dim(d)).reshape(2, -1)
-            return core.block_op(d, np.array([[c, s], [s, c]]), sites[0], sites[1], "R(broken)")
+            return core.Block("R(broken)", d, np.array([[c, s], [s, c]]), 0, (0, 1))
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         result = verify.check_unitarity()
@@ -621,8 +620,7 @@ class TestCmdVerify:
     def test_failing_check_gives_numeric_exit_code(self, monkeypatch, capsys):
         def broken_rotator(theta, d):
             c, s = np.cos(theta), np.sin(theta)
-            sites = np.arange(space_dim(d)).reshape(2, -1)
-            return core.block_op(d, np.array([[c, s], [s, c]]), sites[0], sites[1], "R(broken)")
+            return core.Block("R(broken)", d, np.array([[c, s], [s, c]]), 0, (0, 1))
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
         code = main(["verify"])

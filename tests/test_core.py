@@ -383,8 +383,8 @@ class TestPixelPattern:
 
 
 # ---------------------------------------------------------------------------
-# Dense references: the matrix builders the engine used before the gather
-# form.  Permutations go through a scalar site map and a Python loop, blocks
+# Dense references: the matrix builders the engine used before label
+# rules.  Permutations go through a scalar site map and a Python loop, blocks
 # through np.kron, diagonals through per-amplitude loops.
 # ---------------------------------------------------------------------------
 
@@ -453,7 +453,7 @@ def scalar_site_maps(d):
     ]
 
 
-class TestGatherFormAgainstDenseReference:
+class TestRulesAgainstDenseReference:
     def test_index_maps_are_bit_exact(self):
         rng = np.random.default_rng(20)
         for d in range(1, 7):
@@ -461,7 +461,7 @@ class TestGatherFormAgainstDenseReference:
             for build, site_map in scalar_site_maps(d):
                 op = build()
                 reference = dense_permutation(d, site_map)
-                assert op.index.shape[0] == 1
+                assert [type(rule) for rule in op.rules] == [core.SiteMap]
                 assert np.array_equal(op.matrix, reference)
                 assert np.array_equal(op.apply_flat(v), reference @ v)
 
@@ -473,7 +473,7 @@ class TestGatherFormAgainstDenseReference:
             for placement in ("pixel-paths", "oam-diagonal"):
                 op = core.object_attenuator(pattern, placement)
                 reference = dense_object(pattern, placement)
-                assert op.index.shape[0] == 1
+                assert [type(rule) for rule in op.rules] == [core.Factor]
                 assert np.array_equal(op.matrix, reference)
                 assert np.array_equal(op.apply_flat(v), reference @ v)
 
@@ -487,15 +487,22 @@ class TestGatherFormAgainstDenseReference:
                 (core.polarisation_rotator(theta, d), dense_rotator(theta, d)),
             ]
             for op, reference in cases:
-                assert op.index.shape[0] == 2
+                assert [type(rule) for rule in op.rules] == [core.Block]
                 assert np.array_equal(op.matrix, reference)
                 assert np.max(np.abs(op.apply_flat(v) - reference @ v)) <= 1e-15
 
-    def test_gather_form_of_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="must be two"):
-            core.ElementOp("bad", 1, np.zeros((1, 3), dtype=int), np.ones((1, 3)))
-        with pytest.raises(ValueError, match="outside the 4 basis states"):
-            core.ElementOp("bad", 1, np.full((1, 4), 4), np.ones((1, 4)))
+    def test_stack_of_vectors_is_applied_row_by_row(self):
+        rng = np.random.default_rng(24)
+        stack = np.stack([random_state(rng, 3).flat for _ in range(4)])
+        for op in all_unitaries(3) + [core.compose(all_unitaries(3))]:
+            rows = np.stack([op.apply_flat(v) for v in stack])
+            assert np.array_equal(op.apply_flat(stack), rows)
+
+    def test_malformed_block_rejected(self):
+        for block, axis, pair in ((np.eye(3), 0, (0, 1)), (np.eye(2), 2, (1, 1)),
+                                  (np.eye(2), 2, (0, 3)), (np.eye(2), 3, (0, 1))):
+            with pytest.raises(ValueError, match="bad: a block needs"):
+                core.Block("bad", 2, block, axis, pair)
 
     def test_matrix_view_is_read_only(self):
         m = core.pockels_flip(2).matrix
@@ -503,14 +510,17 @@ class TestGatherFormAgainstDenseReference:
             m[0, 0] = 2.0
 
 
-class TestPermutationOp:
+class TestSiteMap:
+    # A site map is checked on the labels it is evaluated on.
     def test_non_bijective_site_map_rejected(self):
+        op = core.SiteMap("collapse", 2, lambda pol, ell, mode: (pol, ell * 0, mode))
         with pytest.raises(ValueError, match="not a bijection"):
-            core.permutation_op(2, lambda pol, ell, mode: (pol, ell * 0, mode), "collapse")
+            op.matrix
 
     def test_site_map_leaving_the_basis_rejected(self):
+        op = core.SiteMap("overflow", 2, lambda pol, ell, mode: (pol, ell + 1, mode))
         with pytest.raises(ValueError, match="leaves the basis"):
-            core.permutation_op(2, lambda pol, ell, mode: (pol, ell + 1, mode), "overflow")
+            op.apply_flat(np.zeros(space_dim(2)))
 
 
 def zeno_cycle(d, theta, transmissions):
@@ -525,7 +535,7 @@ def zeno_cycle(d, theta, transmissions):
 
 def merged_terms(index, coeff):
     """Terms that read one source merged by sorting them and summing with
-    ``np.add.at``, as ``compose`` merged them before row-wise sums."""
+    ``np.add.at``, as gather forms were once composed."""
     cols = np.arange(index.shape[1])
     order = np.argsort(index, axis=0, kind="stable")
     index, coeff = index[order, cols], coeff[order, cols]
@@ -539,17 +549,6 @@ def merged_terms(index, coeff):
     merged_index[slot, cols] = index
     np.add.at(merged_coeff, (slot, cols), coeff)
     return merged_index, merged_coeff
-
-
-def restricted_terms(cycle, support):
-    """``cycle``'s terms on the amplitudes ``support``, term by term: a term
-    that reads outside ``support`` reads its first amplitude, at zero."""
-    position = np.full(core.space_dim(cycle.d), -1, dtype=np.intp)
-    position[support] = np.arange(len(support))
-    index = position[cycle.index[:, support]]
-    outside = index < 0
-    index[outside] = 0
-    return index, np.where(outside, 0.0, cycle.coeff[:, support])
 
 
 def merged_doublings(index, coeff, count):
@@ -576,10 +575,15 @@ def dense(index, coeff):
     return m
 
 
-def kind_configs(kind, rng, cycle_counts):
+def entry_labels(config):
+    """The input photon's labels for ``config``."""
+    return core.input_photon(config.d, 0 if config.spec.single_pass else config.d)[0]
+
+
+def kind_configs(kind, rng, cycle_counts, sizes=(1, 2, 5, 12)):
     """Opaque, transparent, binary and semi-transparent objects of ``kind``
     at each of ``cycle_counts``, with the cycle and the input of each."""
-    for d in (1,) if not KINDS[kind].per_pixel else (1, 2, 5, 12):
+    for d in sizes if KINDS[kind].per_pixel else (1,):
         objects = [PixelPattern.opaque(d), PixelPattern.transparent(d),
                    PixelPattern.from_bits(rng.integers(0, 2, size=d)),
                    PixelPattern(tuple(rng.choice([0.0, 1.0, 0.3, 0.77, 0.05], size=d)))]
@@ -596,8 +600,9 @@ class TestRestrictedForms:
         for d in range(1, 7):
             transmissions = rng.uniform(0.1, 0.9, size=d)
             cycle = core.compose(zeno_cycle(d, 0.2, transmissions))
+            labels, _ = core.input_photon(d, d)
             start = core.make_initial_state(d, d).flat
-            support, index, coeff = core.support_blocks(cycle, start, 50)
+            support, index, coeff = core.support_blocks(cycle, labels, 50)
             sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
             assert set(support) == set(sites[:, :, d].ravel())
             assert index.shape == coeff.shape == (2, 2 * d)
@@ -611,23 +616,80 @@ class TestRestrictedForms:
 
     def test_closure_stops_after_the_given_steps(self):
         cycle = core.compose(zeno_cycle(3, 0.2, (0.5, 0.5, 0.5)))
-        start = core.make_initial_state(3, 3).flat
-        assert np.array_equal(core.support_blocks(cycle, start, 0)[0], np.flatnonzero(start))
-        assert len(core.support_blocks(cycle, start, 1)[0]) == 6
+        labels, _ = core.input_photon(3, 3)
+        assert np.array_equal(core.support_blocks(cycle, labels, 0)[0], labels)
+        assert len(core.support_blocks(cycle, labels, 1)[0]) == 6
+
+    def test_unreached_amplitudes_are_left_out(self):
+        # The V amplitude of an opaque pixel is never reached; its pixel's
+        # H amplitude reads it at zero, from itself.
+        cycle = core.compose(zeno_cycle(3, 0.2, (0.0, 0.5, 0.0)))
+        labels, _ = core.input_photon(3, 3)
+        support, index, coeff = core.support_blocks(cycle, labels, 10)
+        assert list(support) == [3, 7, 11, 19]
+        assert index.shape == (2, 4)
+        assert np.array_equal(index[:, [0, 2]], [[0, 2], [0, 2]])
+        assert np.all(coeff[1, [0, 2]] == 0) and np.all(coeff[0, [0, 2]] != 0)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_first_cycle_on_the_blocks_equals_the_full_cycle(self, kind):
         # Row 0 of a run's trace is the block form applied to the input.
         rng = np.random.default_rng(40 + sorted(KINDS).index(kind))
         for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257)):
-            support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
+            support, index, coeff = core.support_blocks(cycle, entry_labels(config),
+                                                        config.n_cycles)
             assert np.array_equal(core.gather(index, coeff, start[support]),
                                   cycle.apply_flat(start)[support]), config
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_blocks_equal_the_dense_cycle_on_the_support(self, kind):
+        # Seeded property check: the pushed block form against the product
+        # of the cycle elements' dense matrices, restricted to the support.
+        rng = np.random.default_rng(60 + sorted(KINDS).index(kind))
+        for config, _, _ in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257),
+                                         sizes=(1, 2, 3, 4, 5, 6)):
+            product = np.eye(core.space_dim(config.d), dtype=complex)
+            elements = schemes.build_scheme(config).cycle_elements
+            for op in elements:
+                product = op.matrix @ product
+            support, index, coeff = core.support_blocks(
+                core.compose(elements), entry_labels(config), config.n_cycles)
+            restricted = product[np.ix_(support, support)]
+            assert np.max(np.abs(dense(index, coeff) - restricted)) <= 1e-15, config
+            # The support is closed: nothing it holds leaks outside it.
+            outside = np.delete(product[:, support], support, axis=0)
+            assert np.max(np.abs(outside), initial=0.0) <= 1e-15, config
+
+    def test_blocks_of_four_amplitudes(self):
+        # A rotator and a beam splitter couple the pol pair and the mode
+        # pair, so each OAM value's four amplitudes on modes 0 and d form
+        # one block.
+        d = 2
+        cycle = core.compose([core.polarisation_rotator(0.3, d), core.beam_splitter(d)])
+        labels, _ = core.input_photon(d, 0)
+        support, index, coeff = core.support_blocks(cycle, labels, 8)
+        sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
+        assert set(support) == set(sites[..., [0, d]].ravel())
+        assert index.shape == (4, 8)
+        restricted = cycle.matrix[np.ix_(support, support)]
+        for j, power in enumerate(core.block_powers(index, coeff, 9)):
+            reference = np.linalg.matrix_power(restricted, 2**j)
+            assert np.max(np.abs(dense(index, power) - reference)) <= 1e-15 * 2**j
+
+    def test_pushes_are_shared_by_rules_of_one_shape(self):
+        d = 4
+        labels, _ = core.input_photon(d, d)
+        first = core.compose(zeno_cycle(d, 0.1, (0.3, 0.0, 1.0, 0.5)))
+        core.support_blocks(first, labels, 20)
+        count = len(core._PUSHES)
+        second = core.compose(zeno_cycle(d, 0.7, (1.0, 0.2, 0.0, 0.0)))
+        _, _, coeff = core.support_blocks(second, labels, 20)
+        assert len(core._PUSHES) == count
+        assert np.array_equal(coeff, core.support_blocks(second, labels, 20)[2])
+
     def test_block_powers_are_accurate_powers(self):
         cycle = core.compose(zeno_cycle(2, np.pi / 64, (0.3, 1.0)))
-        start = core.make_initial_state(2, 2).flat
-        support, index, coeff = core.support_blocks(cycle, start, 64)
+        support, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2)[0], 64)
         powers = core.block_powers(index, coeff, 7)
         assert powers[0] is coeff
         for j, power in enumerate(powers):
@@ -638,11 +700,12 @@ class TestRestrictedForms:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_block_squares_equal_merged_squares_bit_for_bit(self, kind):
         rng = np.random.default_rng(sorted(KINDS).index(kind))
-        for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
-            support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
+        for config, cycle, _ in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
+            support, index, coeff = core.support_blocks(cycle, entry_labels(config),
+                                                        config.n_cycles)
             vec = [1.0, 1j] @ rng.normal(size=(2, len(support)))
             powers = core.block_powers(index, coeff, 12)
-            references = merged_doublings(*restricted_terms(cycle, support), 12)
+            references = merged_doublings(index, coeff, 12)
             for j, (power, reference) in enumerate(zip(powers, references, strict=True)):
                 assert np.array_equal(dense(index, power), dense(*reference)), (config, j)
                 assert np.array_equal(core.gather(index, power, vec),
@@ -651,44 +714,23 @@ class TestRestrictedForms:
     def test_block_powers_of_a_three_amplitude_block(self):
         rng = np.random.default_rng(5)
         unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        # On the twelve amplitudes of d = 2, amplitudes 1, 3 and 4 form a
-        # block; every other amplitude is a block of one, with padding
-        # terms that read amplitude 3 at zero.
-        n = core.space_dim(2)
-        index = np.tile(np.arange(n), (3, 1))
-        index[1] = 3
+        # Of six amplitudes, 1, 3 and 4 form a block; every other amplitude
+        # is a block of one, whose padding terms read it at zero.
+        index = np.tile(np.arange(6), (3, 1))
         index[:, [1, 3, 4]] = [[1], [3], [4]]
-        coeff = np.zeros((3, n), dtype=complex)
-        coeff[0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+        coeff = np.zeros((3, 6), dtype=complex)
+        coeff[0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=6))
         coeff[:, [1, 3, 4]] = unitary.T
-        op = core.ElementOp("block", 2, index, coeff)
-        # The input holds amplitudes 0, 2, 3 and 9, so the support adds 1
-        # and 4, the rest of the block of 3.
-        start = np.zeros(n, dtype=complex)
-        start[[0, 2, 3, 9]] = 0.5
-        support, block_index, block_coeff = core.support_blocks(op, start, 5)
-        assert list(support) == [0, 1, 2, 3, 4, 9]
-        assert block_index.shape == (3, 6)
-        restricted = op.matrix[np.ix_(support, support)]
-        for j, power in enumerate(core.block_powers(block_index, block_coeff, 9)):
-            reference = np.linalg.matrix_power(restricted, 2**j)
-            assert np.max(np.abs(dense(block_index, power) - reference)) <= 1e-15 * 2**j
+        matrix = dense(index, coeff)
+        for j, power in enumerate(core.block_powers(index, coeff, 9)):
+            reference = np.linalg.matrix_power(matrix, 2**j)
+            assert np.max(np.abs(dense(index, power) - reference)) <= 1e-15 * 2**j
 
     def test_block_powers_of_one_form_is_the_form(self):
         cycle = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
-        _, index, coeff = core.support_blocks(cycle, core.make_initial_state(2, 2).flat, 4)
+        _, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2)[0], 4)
         powers = core.block_powers(index, coeff, 1)
         assert len(powers) == 1 and powers[0] is coeff
-
-    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
-    def test_row_wise_merge_equals_add_at_merge(self, dtype):
-        rng = np.random.default_rng(8)
-        # Sixteen terms over four sources, so most outputs sum several terms.
-        index = rng.integers(0, 4, size=(16, 500))
-        coeff = (rng.normal(size=(16, 500)) + 1j * rng.normal(size=(16, 500))).astype(dtype)
-        merged, reference = core._merge_terms(index, coeff), merged_terms(index, coeff)
-        assert np.array_equal(merged[0], reference[0])
-        assert merged[1].dtype == dtype and np.array_equal(merged[1], reference[1])
 
     def test_element_rejects_a_state_of_another_d(self):
         with pytest.raises(ValueError, match="applied to state"):
@@ -697,5 +739,12 @@ class TestRestrictedForms:
     def test_elements_fixed_by_d_are_shared(self):
         assert core.oam_sorter(3) is core.oam_sorter(3)
         assert core.oam_sorter(3, inverse=True) is not core.oam_sorter(3)
-        op = core.polarising_beam_splitter(4)
-        assert not op.index.flags.writeable and not op.coeff.flags.writeable
+        block = core.beam_splitter(4)
+        assert not block.block.flags.writeable and not block.entries.flags.writeable
+
+    def test_input_photon_is_shared_and_read_only(self):
+        labels, amps = core.input_photon(3, 3)
+        assert core.input_photon(3, 3)[0] is labels
+        assert not labels.flags.writeable and not amps.flags.writeable
+        assert np.array_equal(core.make_initial_state(3, 3).flat[labels], amps)
+        assert np.count_nonzero(core.make_initial_state(3, 3).flat) == 3

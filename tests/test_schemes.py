@@ -1,6 +1,7 @@
 """Scheme assembly and execution: figures, traces, equivalences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,7 +348,6 @@ class TestEngineAgainstDenseReference:
             for op in built.cycle_elements:
                 product = op.matrix @ product
             cycle = core.compose(built.cycle_elements)
-            assert cycle.index.shape[0] <= 2, kind
             assert np.max(np.abs(cycle.matrix - product)) <= 1e-13, kind
 
     def test_run_matches_element_by_element_dense_application(self):
@@ -365,7 +365,7 @@ class TestEngineAgainstDenseReference:
 
 
 def sequential_run(config):
-    """Reference evolution: the full-space composed cycle applied once per cycle."""
+    """Reference evolution: the composed cycle applied to the full space once per cycle."""
     built = build_scheme(config)
     cycle = core.compose(built.cycle_elements)
     vec = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
@@ -421,9 +421,42 @@ class TestDoublingEngine:
             for pattern in (PixelPattern.transparent(d), PixelPattern((0.5,) * d)):
                 config = SchemeConfig(kind, pattern, 300)
                 cycle = core.compose(build_scheme(config).cycle_elements)
-                start = core.make_initial_state(d, d).flat
+                start, _ = core.input_photon(d, d)
                 support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
                 assert len(support) <= 2 * d and index.shape[0] <= 2
+
+
+class TestSlabbedGathers:
+    @pytest.mark.parametrize("kind", ["michelson-zeno", "multipixel-single-pass"])
+    def test_slabs_equal_one_shot_gathers_bit_for_bit(self, kind, monkeypatch):
+        transmissions = (0.3, 1.0, 0.0, 0.8, 0.5, 1.0, 0.05)
+        config = SchemeConfig(kind, PixelPattern(transmissions), 2 * BLOCK_ROWS + 7)
+        built = build_scheme(config)
+        monkeypatch.setattr(schemes, "SLAB_BYTES", 10**9)
+        _, one_shot, last = schemes._cycles(config, built)
+        for slab_bytes in (1, 1000, schemes.SLAB_BYTES):
+            monkeypatch.setattr(schemes, "SLAB_BYTES", slab_bytes)
+            _, survival, slabbed = schemes._cycles(config, built)
+            assert np.array_equal(survival, one_shot) and np.array_equal(slabbed, last)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("kind", ["multipixel-zeno", "michelson-zeno",
+                                      "multipixel-single-pass"])
+    def test_peak_allocation_is_a_few_final_states(self, kind):
+        # Only the readout holds the full space.  Measured: 2.15 final
+        # states for each kind; building the elements on the full space
+        # took 11 to 27.
+        d = 256
+        config = SchemeConfig(kind, PixelPattern.from_bits("10" * (d // 2)), 1000)
+        run_scheme(config)
+        tracemalloc.start()
+        try:
+            result = run_scheme(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * result.state.amps.nbytes
 
 
 class TestSemitransparentTraceClosedForm:
@@ -453,10 +486,10 @@ class TestSemitransparentTraceClosedForm:
 
 
 def clear_shared_caches():
-    for cached in (core.make_initial_state, core._hv_pair_index, core._diagonal_index,
-                   core.polarising_beam_splitter, core.oam_sorter, schemes._detector_map,
-                   schemes._stage_product):
+    for cached in (core.make_initial_state, core.input_photon, core.polarising_beam_splitter,
+                   core.oam_sorter, schemes._detector_map):
         cached.cache_clear()
+    core._PUSHES.clear()
 
 
 class TestSharedPerKindAndD:
@@ -464,54 +497,43 @@ class TestSharedPerKindAndD:
 
     def test_shared_arrays_are_read_only(self):
         d = 3
-        run_scheme(SchemeConfig("michelson-zeno", PixelPattern.from_bits("101"), 4))
-        shared = [core._hv_pair_index(d), core._diagonal_index(d),
-                  core.make_initial_state(d, d).amps,
+        config = SchemeConfig("michelson-zeno", PixelPattern.from_bits("101"), 4)
+        run_scheme(config)
+        shared = [*core.input_photon(d, d), core.make_initial_state(d, d).amps,
                   schemes._detector_map("michelson-zeno", d).assignment,
-                  core.polarisation_rotator(0.1, d).index,
-                  core.object_attenuator(PixelPattern.opaque(d), "pixel-paths").index]
-        for stage in build_scheme(SchemeConfig("michelson-zeno", PixelPattern.opaque(d))
-                                  ).cycle_stages:
-            if len(stage) > 1:
-                product = schemes._stage_product(stage)
-                shared += [product.index, product.coeff]
+                  core.polarisation_rotator(0.1, d).entries]
+        cycle = core.compose(build_scheme(config).cycle_elements)
+        support, index, coeff = core.support_blocks(cycle, core.input_photon(d, d)[0], 4)
+        shared += [support, index, coeff]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
     def test_only_coefficients_are_built_per_run(self):
-        first = core.polarisation_rotator(0.1, 4)
-        second = core.polarisation_rotator(0.2, 4)
-        assert first.index is second.index is core._hv_pair_index(4)
+        assert core.input_photon(4, 4) is core.input_photon(4, 4)
         assert core.make_initial_state(4, 4) is core.make_initial_state(4, 4)
-        opaque = core.object_attenuator(PixelPattern.opaque(4), "pixel-paths")
-        assert opaque.index is core.object_attenuator(PixelPattern.transparent(4),
-                                                      "oam-diagonal").index
         built = build_scheme(SchemeConfig("multipixel-zeno", PixelPattern.opaque(4), 7))
         again = build_scheme(SchemeConfig("multipixel-zeno", PixelPattern.transparent(4), 9))
         assert built.detector_map is again.detector_map
-        for stage, other in zip(built.cycle_stages, again.cycle_stages, strict=True):
-            if len(stage) > 1:
-                assert schemes._stage_product(stage) is schemes._stage_product(other)
-
-    def test_stages_hold_the_cycle_in_order(self):
-        for kind in KINDS:
-            d = 2 if KINDS[kind].per_pixel else 1
-            built = build_scheme(SchemeConfig(kind, PixelPattern.from_bits("10"[:d]), 5))
-            assert [len(stage) for stage in built.cycle_stages if len(stage) > 1] == (
-                [3, 4] if KINDS[kind].layout == "folded" else [3, 3])
-            assert len(built.cycle_elements) == sum(map(len, built.cycle_stages))
-            product = core.compose(built.cycle_elements)
-            staged = core.compose([core.compose(stage) for stage in built.cycle_stages])
-            assert np.array_equal(product.matrix, staged.matrix)
+        for op, other in zip(built.cycle_elements, again.cycle_elements, strict=True):
+            assert op.key == other.key
+            assert (op is other) == isinstance(op, core.SiteMap)
+        # Runs of one kind and d share one push of their cycle.
+        run_scheme(SchemeConfig("michelson-zeno", PixelPattern.opaque(4), 7))
+        count = len(core._PUSHES)
+        run_scheme(SchemeConfig("michelson-zeno", PixelPattern((0.3, 1.0, 0.0, 0.5)), 90))
+        assert len(core._PUSHES) == count
 
     def test_caches_stay_bounded(self):
-        for d in range(1, 40):
-            run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.opaque(d), 2))
-        for cached in (core.make_initial_state, core._hv_pair_index, core._diagonal_index,
-                       schemes._detector_map, schemes._stage_product):
+        # Each d pushes the three cycles and the folded switch-out, so the
+        # pushes outnumber the cache.
+        for d in range(1, 70):
+            for kind in ("michelson-zeno", "multipixel-zeno", "multipixel-single-pass"):
+                run_scheme(SchemeConfig(kind, PixelPattern.opaque(d), 2))
+        for cached in (core.make_initial_state, core.input_photon, schemes._detector_map):
             info = cached.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert len(core._PUSHES) == core.PUSHES_KEPT
 
     def test_cold_and_warm_caches_give_the_same_run(self):
         config = SchemeConfig("michelson-zeno", PixelPattern((0.3, 0.0, 1.0)), 300)

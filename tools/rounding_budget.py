@@ -39,14 +39,6 @@ def configs():
                 yield SchemeConfig(kind, core.PixelPattern.transparent(d), n)
 
 
-def trace_survival(config: SchemeConfig, built: schemes.BuiltScheme) -> np.ndarray:
-    """Survival after each cycle as the engine computes it, before the clamp."""
-    cycle = core.compose(built.cycle_elements)
-    start = core.make_initial_state(config.d, 0 if config.spec.single_pass else config.d).flat
-    support, index, coeff = core.support_blocks(cycle, start, built.n_cycles)
-    return schemes._evolve(index, coeff, start[support], built.n_cycles)[0]
-
-
 def main() -> int:
     runs = 0
     final = {"all": (0.0, None), "cycling": (0.0, None)}
@@ -57,7 +49,8 @@ def main() -> int:
         length = len(built.cycle_elements)
         survival = schemes.run_scheme(config).state.survival
         ratio = abs(1.0 - survival) / (EPS * built.applications)
-        trace = trace_survival(config, built)
+        # Survival after each cycle as the engine computes it, before the clamp.
+        trace = schemes._cycles(config, built)[1]
         row_ratios = np.abs(1.0 - trace) / (EPS * length * np.arange(1, len(trace) + 1))
         row = int(np.argmax(row_ratios))
         groups = ("all",) if config.spec.single_pass else ("all", "cycling")
