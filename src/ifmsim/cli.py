@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
@@ -236,10 +237,23 @@ def _output(out: str | None) -> Iterator[TextIO]:
     """Stream to write a command's output to: stdout, or the file ``out``.
 
     The file is opened on entry, so an unwritable path fails before any
-    work; an error opening or writing it is a usage error (exit 2).
+    work; an error opening or writing it, or writing stdout (a pipe whose
+    reader has gone), is a usage error (exit 2).
     """
     if out is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit, which would fail
+            # the same way; a stdout with a file descriptor is pointed at the
+            # null device first.
+            with contextlib.suppress(OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise UsageError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -472,12 +486,12 @@ def _analytic_block(config: SchemeConfig) -> dict:
     block: dict = {"exact": None, "asymptotic": None, "p_abs": None, "efficiency": None}
     if config.pattern.is_binary or not config.spec.single_pass:
         exact = analytics.exact_distribution(config)
-        block["exact"] = dict(exact.exact) if exact.exact else None
+        block["exact"] = dict(exact.exact)
         block["p_abs"] = exact.p_abs
         block["efficiency"] = exact.efficiency
     asym = analytics.asymptotic_distribution(config)
     if asym is not None:
-        block["asymptotic"] = dict(asym.asymptotic or {})
+        block["asymptotic"] = dict(asym.asymptotic)
         block["asymptotic_p_abs"] = asym.p_abs
     return block
 
@@ -566,19 +580,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if (cfg.format or "json") == "json":
         _emit_json({"config": cfg.to_dict(), "rows": rows}, cfg.out)
     else:
-        columns: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        # Every row of a sweep has one kind and d, so the rows share their keys.
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([
-                _fmt_float(v) if isinstance(v, float) else v
-                for v in (row.get(c, "") for c in columns)
-            ])
+            writer.writerow([_fmt_float(v) if isinstance(v, float) else v for v in row.values()])
         _emit(buf.getvalue(), cfg.out)
     return EXIT_OK
 
@@ -668,20 +675,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
 
 
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "shots": cmd_shots, "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         command, cfg = parse_config(list(argv))
-        if command == "run":
-            return cmd_run(cfg)
-        if command == "sweep":
-            return cmd_sweep(cfg)
-        if command == "shots":
-            return cmd_shots(cfg)
-        if command == "verify":
-            return cmd_verify(cfg)
-        raise UsageError(f"unknown command {command!r}")
+        return COMMANDS[command](cfg)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

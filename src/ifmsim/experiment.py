@@ -340,7 +340,9 @@ def statistical_check(counts: ClickCounts, exact: DetectionDistribution) -> Stat
 
     Detectors with probability strictly between 0 and 1 get a z-score;
     impossible (p = 0) and certain (p = 1) outcomes are checked for exact
-    count agreement and reported as violations otherwise.
+    count agreement and reported as violations otherwise.  A p so small
+    that its binomial variance p (1 - p) / n underflows to 0 has no finite
+    z-score, so it is checked as impossible.
     """
     if counts.total < 100:
         raise ValueError("statistical check needs at least 100 shots")
@@ -351,14 +353,15 @@ def statistical_check(counts: ClickCounts, exact: DetectionDistribution) -> Stat
     entries[ABSORBED] = exact.p_abs
     for label, p in entries.items():
         observed = counts.absorbed if label == ABSORBED else counts.counts.get(label, 0)
-        if p == 0.0:
-            if observed != 0:
-                violations.append(f"{label}: {observed} clicks on an impossible outcome")
-            continue
         if p == 1.0:
             if observed != n:
                 violations.append(f"{label}: {observed}/{n} clicks on a certain outcome")
             continue
-        z = (observed / n - p) / np.sqrt(p * (1.0 - p) / n)
+        variance = p * (1.0 - p) / n
+        if variance == 0.0:
+            if observed != 0:
+                violations.append(f"{label}: {observed} clicks on an impossible outcome")
+            continue
+        z = (observed / n - p) / np.sqrt(variance)
         z_scores[label] = float(z)
     return StatCheck(z_scores, tuple(violations))

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,18 @@ class TestCmdShots:
         assert report["pattern_match"] is True
         assert report["violations"] == []
 
+    def test_transmission_too_small_for_a_z_score(self, capsys):
+        # D0_v has p = 4.55e-322, whose binomial variance underflows to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4",
+                         "--transmissions", "1e-320,1", "--shots", "1000"])
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert code == EXIT_OK
+        assert 0.0 < report["exact"]["detectors"]["D0_v"] < 1e-300
+        assert set(report["z_scores"]) == {"D0_h", "D1_h", "D1_v", "absorbed"}
+        assert report["violations"] == []
+
     def test_single_shot_mostly_unknown(self, capsys):
         code, report = run_json(capsys, [
             "shots", "--scheme", "multipixel-zeno", "--d", "4", "--N", "10",
@@ -596,6 +609,22 @@ def test_bad_output_path_or_seed_is_a_usage_error(tmp_path, capsys, argv, messag
     assert captured.out == ""
 
 
+def test_closed_stdout_is_a_usage_error_without_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # About 1.6 MB of report, far more than a pipe holds.
+    argv = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "20000", "--pattern", "10"]
+    with subprocess.Popen([sys.executable, "-m", "ifmsim.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("usage error: cannot write stdout:")
+
+
 class TestCmdVerify:
     def test_all_checks_pass_and_are_listed(self, capsys):
         code = main(["verify"])
@@ -612,7 +641,7 @@ class TestCmdVerify:
             return core.Block("R(broken)", d, np.array([[c, s], [s, c]]), 0, (0, 1))
 
         monkeypatch.setattr(core, "polarisation_rotator", broken_rotator)
-        result = verify.check_unitarity()
+        result = next(r for r in verify.run_all_checks() if r.name == "unitarity")
         assert not result.passed
         # The check must catch the fault, not crash on the broken element.
         assert result.detail.startswith("max norm drift")
@@ -632,9 +661,46 @@ class TestCmdVerify:
     def test_verify_json_format(self, capsys):
         code, report = run_json(capsys, ["verify", "--format", "json"])
         assert code == EXIT_OK
-        names = {check["name"] for check in report["checks"]}
-        assert "unitarity" in names
-        assert all(check["passed"] for check in report["checks"])
+        assert [check["name"] for check in report["checks"]] == [n for n, _ in VERIFY_DETAILS]
+        for check, (name, prefix) in zip(report["checks"], VERIFY_DETAILS):
+            assert check["passed"] is True, check
+            assert check["detail"].startswith(prefix), check
+
+    def test_raising_suite_is_reported_under_its_name(self, monkeypatch, capsys):
+        def raising_mirrors(d):
+            raise RuntimeError("no arm mirrors")
+
+        monkeypatch.setattr(core, "arm_mirrors", raising_mirrors)
+        results = verify.run_all_checks()
+        assert [r.name for r in results] == [n for n, _ in VERIFY_DETAILS]
+        failed = {r.name: r.detail for r in results if not r.passed}
+        # The suites that build an arm mirror: directly, or in a folded run.
+        assert failed == dict.fromkeys(
+            ["unitarity", "encoder-equivalence", "oracle-equivalence", "michelson-equivalence"],
+            "raised RuntimeError: no arm mirrors")
+        assert main(["verify"]) == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert "FAIL michelson-equivalence: raised RuntimeError: no arm mirrors" in out
+        assert out.endswith("10/14 checks passed\n")
+
+
+# Every verify suite in report order, with the start of its detail on success.
+VERIFY_DETAILS = [
+    ("unitarity", "max norm drift "),
+    ("attenuator-contraction", "max norm excess "),
+    ("permutation-inverses", "all permutation pairs are exact inverses"),
+    ("swap-identity", "max operator-norm gap "),
+    ("encoder-equivalence", "max amplitude gap "),
+    ("ev-outcomes", "max probability gap "),
+    ("zeno-single-outcomes", "max probability gap "),
+    ("single-pass-outcomes", "max probability gap "),
+    ("zeno-multipixel-outcomes", "max probability gap "),
+    ("oracle-equivalence", "max probability gap "),
+    ("telescoping", "max product gap "),
+    ("michelson-equivalence", "max probability gap "),
+    ("semitransparent-exact-vs-sim", "max probability gap "),
+    ("vanishing-absorption", "p_abs decreasing over N = 1e2, 1e3, 1e4 for all tested T"),
+]
 
 
 def _round15(obj):

@@ -580,6 +580,15 @@ class TestStatisticalCheck:
         check = statistical_check(counts, dist)
         assert any("B" in v for v in check.violations)
 
+    def test_probability_with_underflowing_variance_checked_as_impossible(self):
+        # p (1 - p) / n underflows to 0, so no finite z-score exists.
+        dist = DetectionDistribution({"A": 0.5, "B": 1e-321}, 0.5)
+        check = statistical_check(ClickCounts({"A": 500}, 500, 1000), dist)
+        assert set(check.z_scores) == {"A", "absorbed"}
+        assert check.violations == ()
+        check = statistical_check(ClickCounts({"A": 499, "B": 1}, 500, 1000), dist)
+        assert check.violations == ("B: 1 clicks on an impossible outcome",)
+
     def test_ev_present_all_z_within_four_sigma(self):
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("1"))
         dist = run_scheme(cfg).distribution
