@@ -19,7 +19,6 @@ from ifmsim.core import (
     beam_splitter,
     compose,
     detection_distribution,
-    make_initial_state,
     mirror_reflect,
     oam_converter,
     oam_sorter,

@@ -514,7 +514,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "config": cfg.to_dict(),
         "detectors": dict(dist.probabilities),
         "p_abs": dist.p_abs,
-        "survival": 1.0 - dist.p_abs,
+        "survival": float(result.trace.survival[-1]),
         "analytic": _analytic_block(scheme_config),
         "trace": result.trace,
     }
@@ -527,7 +527,7 @@ def cmd_run(cfg: RunConfig) -> int:
         for label, p in dist.probabilities.items():
             writer.writerow([label, _fmt_float(p)])
         writer.writerow(["p_abs", _fmt_float(dist.p_abs)])
-        writer.writerow(["survival", _fmt_float(1.0 - dist.p_abs)])
+        writer.writerow(["survival", _fmt_float(result.trace.survival[-1])])
         _emit(buf.getvalue(), cfg.out)
     return EXIT_OK
 

@@ -6,10 +6,12 @@ The simulation space is the tensor product
 
 Spatial modes 0..d-1 are the pixel paths inside the path-to-OAM encoder and
 mode d is the reference arm; outside the encoder only modes 0 and d carry
-amplitude.  Absorption at the object is modeled by scaling amplitudes, so
-states are sub-normalized: the squared norm of a state is its survival
-probability and the deficit from one is the accumulated absorption
-probability.
+amplitude.  A state (:class:`PhotonState`) holds only the labels it
+reaches and their amplitudes.  Absorption at the object is modeled by
+scaling amplitudes, so states are sub-normalized: the squared norm of a
+state is its survival probability and the deficit from one is the
+accumulated absorption probability.  A detector map is a rule on labels
+too, so a run's readout touches only the labels its photon reaches.
 
 Every optical element (:class:`ElementOp`) is a rule on the (pol, ell,
 mode) labels of the basis states: an index map, a factor per label, or a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,55 +61,71 @@ def basis_index(d: int, pol: int, ell: int, mode: int) -> int:
 
 @dataclass(frozen=True)
 class PhotonState:
-    """Sub-normalized single-photon amplitude vector.
+    """Sub-normalized single-photon state on the labels it holds.
 
-    ``amps`` has shape ``(2, d, d+1)`` indexed by (polarisation, OAM, mode).
-    The squared norm is the survival probability, so it must not exceed 1.
-    Instances are immutable; element applications return new states.
+    ``labels`` are distinct flat labels (``basis_index``) in increasing
+    order and ``amplitudes`` the amplitude on each; every other label holds
+    zero.  The survival, the squared norm, must not exceed 1.  Both arrays
+    are read-only, and element applications return new states.  The dense
+    ``flat`` and ``amps`` are built on request.
     """
 
     d: int
-    amps: np.ndarray
+    labels: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"OAM dimension must be >= 1, got d={self.d}")
-        a = np.array(self.amps, dtype=np.complex128)
-        expected = (2, self.d, self.d + 1)
-        if a.shape != expected:
-            raise ValueError(f"amplitude array must have shape {expected}, got {a.shape}")
-        n2 = float(np.vdot(a, a).real)
-        if n2 > 1.0 + 1e-9:
-            raise ValueError(f"state norm^2 = {n2} exceeds 1")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        labels = _read_only(np.array(self.labels, dtype=np.intp))
+        amps = _read_only(np.array(self.amplitudes, dtype=np.complex128))
+        if labels.ndim != 1 or labels.shape != amps.shape:
+            raise ValueError(f"labels and amplitudes must be vectors of one length, "
+                             f"got shapes {labels.shape} and {amps.shape}")
+        n = space_dim(self.d)
+        if len(labels) and ((labels[1:] <= labels[:-1]).any() or labels[0] < 0 or labels[-1] >= n):
+            raise ValueError(f"labels must increase within 0..{n - 1}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "amplitudes", amps)
+        if self.survival > 1.0 + 1e-9:
+            raise ValueError(f"state norm^2 = {self.survival} exceeds 1")
 
     @classmethod
     def from_flat(cls, d: int, flat: np.ndarray) -> "PhotonState":
-        return cls(d, np.asarray(flat, dtype=np.complex128).reshape(2, d, d + 1))
-
-    @classmethod
-    def from_labels(cls, d: int, labels: np.ndarray, amps: np.ndarray) -> "PhotonState":
-        """State holding ``amps`` at the flat ``labels`` and zero elsewhere."""
-        flat = np.zeros(space_dim(d), dtype=np.complex128)
-        flat[labels] = amps
-        return cls.from_flat(d, flat)
+        """State on the non-zero entries of the dense amplitudes ``flat`` (2d(d+1) of them)."""
+        flat = np.asarray(flat, dtype=np.complex128).reshape(space_dim(d))
+        labels = np.flatnonzero(flat)
+        return cls(d, labels, flat[labels])
 
     @property
     def flat(self) -> np.ndarray:
-        return self.amps.reshape(-1)
+        flat = np.zeros(space_dim(self.d), dtype=np.complex128)
+        flat[self.labels] = self.amplitudes
+        return flat
+
+    @property
+    def amps(self) -> np.ndarray:
+        """Dense amplitudes of shape ``(2, d, d+1)``, indexed by (pol, ell, mode)."""
+        return self.flat.reshape(2, self.d, self.d + 1)
 
     @property
     def survival(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        """The sum of re^2 + im^2 over the amplitudes held, as a run's trace sums it."""
+        return float(np.square(self.amplitudes.view(np.float64)).sum())
 
     def amplitude(self, pol: int, ell: int, mode: int) -> complex:
-        return complex(self.amps[pol, ell, mode])
+        label = basis_index(self.d, pol, ell, mode)
+        at = int(np.searchsorted(self.labels, label))
+        held = at < len(self.labels) and self.labels[at] == label
+        return complex(self.amplitudes[at]) if held else 0j
 
     def overlap(self, other: "PhotonState") -> complex:
+        """<self|other>, summed over the labels both states hold."""
         if other.d != self.d:
             raise ValueError("states live on different spaces")
-        return complex(np.vdot(self.amps, other.amps))
+        _, mine, theirs = np.intersect1d(self.labels, other.labels, assume_unique=True,
+                                         return_indices=True)
+        return complex(np.vdot(self.amplitudes[mine], other.amplitudes[theirs]))
 
     def __repr__(self) -> str:  # noqa: D105 - compact display, arrays are noisy
         return f"PhotonState(d={self.d}, survival={self.survival:.6g})"
@@ -115,7 +133,7 @@ class PhotonState:
 
 def basis_state(d: int, pol: int, ell: int, mode: int) -> PhotonState:
     """Unit basis state |pol, ell, mode>."""
-    return PhotonState.from_labels(d, [basis_index(d, pol, ell, mode)], [1.0])
+    return PhotonState(d, [basis_index(d, pol, ell, mode)], [1.0])
 
 
 # The input photon and the elements fixed by d are immutable, so each is
@@ -130,23 +148,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @_per_d
-def input_photon(d: int, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted flat labels and amplitudes of the input photon on mode ``mode``:
-    H-polarised, an equal superposition of the d OAM values.  The
-    single-pass interferometers take it on mode 0, the cycling (Zeno)
-    schemes on the reference mode d."""
+def input_photon(d: int, mode: int) -> PhotonState:
+    """The input photon on mode ``mode``: H-polarised, an equal superposition
+    of the d OAM values.  The single-pass interferometers take it on mode 0,
+    the cycling (Zeno) schemes on the reference mode d."""
     if d < 1:
         raise ValueError(f"pixel count must be >= 1, got d={d}")
     if not 0 <= mode <= d:
         raise ValueError(f"entry mode {mode} outside 0..{d}")
     labels = (POL_H * d + np.arange(d)) * (d + 1) + mode
-    return _read_only(labels), _read_only(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
-
-
-@_per_d
-def make_initial_state(d: int, mode: int) -> PhotonState:
-    """The input photon (:func:`input_photon`) as a state, built once and shared."""
-    return PhotonState.from_labels(d, *input_photon(d, mode))
+    return PhotonState(d, labels, np.full(d, 1.0 / np.sqrt(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +194,10 @@ class ElementOp:
         return propagate([self], np.arange(space_dim(self.d)), np.asarray(vec))[1]
 
     def apply(self, state: PhotonState) -> PhotonState:
+        """The state after this element, on the labels the state's labels reach."""
         if state.d != self.d:
             raise ValueError(f"element for d={self.d} applied to state with d={state.d}")
-        return PhotonState.from_flat(state.d, self.apply_flat(state.flat))
+        return PhotonState(state.d, *propagate([self], state.labels, state.amplitudes))
 
     def __repr__(self) -> str:  # noqa: D105
         return f"{type(self).__name__}({self.label!r}, d={self.d})"
@@ -688,52 +700,22 @@ class PixelPattern:
 
 @dataclass(frozen=True)
 class DetectorMap:
-    """Assignment of basis states to detector labels.
+    """Detector labels, and the rule that says which detector measures a basis state.
 
-    ``assignment[i]`` is the position of the detector label measuring flat
-    basis index ``i``, or -1 if that basis state is undetected.  Every basis
-    state may feed at most one detector.
+    ``detector`` maps (pol, ell, mode) label arrays to an array of the same
+    shape: the position in ``labels`` of the detector measuring each basis
+    state, or -1 where none does, so every basis state feeds at most one
+    detector.
     """
 
     d: int
     labels: tuple[str, ...]
-    assignment: np.ndarray
+    detector: Callable[..., np.ndarray]
 
     def __post_init__(self) -> None:
-        a = np.array(self.assignment, dtype=np.int64)
-        if a.shape != (space_dim(self.d),):
-            raise ValueError("assignment must cover the full basis")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate detector labels")
-        if a.max(initial=-1) >= len(self.labels):
-            raise ValueError("assignment references an unknown label")
-        a.setflags(write=False)
-        object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_groups(
-        cls,
-        d: int,
-        groups: Mapping[str, Iterable[tuple[int, int, int]]],
-    ) -> "DetectorMap":
-        """Build a map from ``{label: [(pol, ell, mode), ...]}`` groups.
-
-        Raises if any basis state is claimed by two detectors.
-        """
-        labels = tuple(groups.keys())
-        assignment = np.full(space_dim(d), -1, dtype=np.int64)
-        for pos, label in enumerate(labels):
-            for pol, ell, mode in groups[label]:
-                idx = basis_index(d, pol, ell, mode)
-                if assignment[idx] != -1:
-                    other = labels[assignment[idx]]
-                    raise ValueError(
-                        f"basis state (pol={pol}, ell={ell}, mode={mode}) mapped to "
-                        f"both {other!r} and {label!r}"
-                    )
-                assignment[idx] = pos
-        return cls(d, labels, assignment)
 
 
 @dataclass(frozen=True)
@@ -762,31 +744,35 @@ def detection_distribution(
     state: PhotonState,
     detector_map: DetectorMap,
     rounding_budget: float = 0.0,
+    survival: float | None = None,
 ) -> DetectionDistribution:
-    """Project a final state onto the detector basis.
+    """Project a final state onto its detectors.
 
     Detector probabilities are the squared amplitude mass routed to each
-    label; the absorption probability is the state's norm deficit.  All
-    probability mass must be covered, so amplitude on undetected basis
-    states is an error.  ``rounding_budget`` is the norm drift the evolution
-    that produced ``state`` may have accumulated by rounding alone; a
-    deficit within it reads as zero absorption, and the detector sums are
-    then divided by the survival so that they add up to 1.  A deficit
-    beyond the budget is kept.
+    label, over the labels the state holds; the absorption probability is
+    the norm deficit 1 - ``survival``, where ``survival`` is the state's
+    (``PhotonState.survival``) unless given: a run passes the survival its
+    trace summed.  All probability mass must be covered, so amplitude on
+    undetected basis states is an error.  ``rounding_budget`` is the norm
+    drift the evolution that produced ``state`` may have accumulated by
+    rounding alone; a deficit within it reads as zero absorption, and the
+    detector sums are then divided by the survival so that they add up to
+    1.  A deficit beyond the budget is kept.
     """
-    if state.d != detector_map.d:
+    d = state.d
+    if d != detector_map.d:
         raise ValueError("state and detector map dimensions differ")
-    weights = np.abs(state.flat) ** 2
-    assigned = detector_map.assignment >= 0
+    weights = np.abs(state.amplitudes) ** 2
+    detector = detector_map.detector(*np.unravel_index(state.labels, (2, d, d + 1)))
+    assigned = detector >= 0
     unmapped = float(weights[~assigned].sum())
     if unmapped > 1e-9:
         raise ValueError(f"probability mass {unmapped} on undetected basis states")
-    sums = np.bincount(
-        detector_map.assignment[assigned],
-        weights=weights[assigned],
-        minlength=len(detector_map.labels),
-    )
-    survival = float(weights.sum())
+    sums = np.bincount(detector[assigned], weights=weights[assigned],
+                       minlength=len(detector_map.labels))
+    if len(sums) > len(detector_map.labels):
+        raise ValueError("detector map references an unknown label")
+    survival = state.survival if survival is None else survival
     p_abs = 1.0 - survival
     # Unitary evolution drifts the norm by a few ulp per element
     # application, which must not masquerade as absorption (or gain).

@@ -19,11 +19,12 @@ not the kind, decides what a run can be reconstructed into.
 (``core.support_blocks``) to the amplitudes they reach, on a cycling scheme
 at most 2d of the 2d(d+1), one 2x2 block per pixel.  The states after
 cycles 1..N come from doubling there, ``BLOCK_ROWS`` rows at a time; the
-switch-out acts on the last state by label, and only the readout holds the
-full space.  Every kind and cycle count runs through this one path.  A run
-evaluates only its rotator's block and its object's factors; the rest is
-built once per (kind, d) and shared, keyed by the elements of its index
-maps, so a replaced element is pushed afresh.
+switch-out acts on the last state by label, and the detectors read those
+labels, so no array over the whole space is built.  Every kind and cycle
+count runs through this one path.  A run evaluates only its rotator's block
+and its object's factors; the rest is built once per (kind, d) and shared,
+keyed by the elements of its index maps, so a replaced element is pushed
+afresh.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ from ifmsim.core import (
     PixelPattern,
 )
 
-# Rounding budget of a run: a norm deficit within
-# c * eps * (element applications) is rounding, not absorption, with c below.
-# Over 1120 unitary runs (transparent objects, all six kinds, d <= 24,
-# N <= 10^4; ``tools/rounding_budget.py`` runs them and prints the ratios)
-# the largest |1 - survival| / (eps * applications) was 0.57, reached by a
-# single-pass run; cycling runs stayed below 0.19.  The trace holds each
-# cycle's survival to the same budget, counting the applications up to that
-# cycle: over every cycle the largest ratio was 0.5, and 0.375 in cycling
-# runs (at cycle 1).  c = 2 is 3.5 times the worst.
+# Rounding budget of a run: a norm deficit after a cycle within
+# c * eps * (element applications up to that cycle) is rounding, not
+# absorption, with c below.  Over 1120 unitary runs (transparent objects,
+# all six kinds, d <= 24, N <= 10^4; ``tools/rounding_budget.py`` runs them
+# and prints the ratios) the largest |1 - survival| / (eps * applications)
+# over every cycle was 0.5, reached by a single-pass run, and 0.375 in
+# cycling runs (at cycle 1).  The readout takes the last cycle's survival.
+# c = 2 is 4 times the worst.
 ROUNDING_ULPS_PER_APPLICATION = 2.0
 
 # Rows of trace states held at once by ``run_scheme``; a power of two.
@@ -207,11 +207,6 @@ class BuiltScheme:
     n_cycles: int
     detector_map: DetectorMap
 
-    @property
-    def applications(self) -> int:
-        """Element applications of a run: N cycles, then the switch-out."""
-        return self.n_cycles * len(self.cycle_elements) + len(self.switch_out)
-
 
 class SchemeResult(NamedTuple):
     state: PhotonState
@@ -241,20 +236,17 @@ def _detector_map(kind: str, d: int) -> DetectorMap:
     the polarisation- and OAM-resolved detectors on the readout mode d.
     """
     spec = KINDS[kind]
-    ell = np.arange(d)
-    assignment = np.full(core.space_dim(d), -1)
-    for pol in (POL_H, POL_V):
-        mode_0, mode_d = (np.ravel_multi_index((pol, ell, m), (2, d, d + 1)) for m in (0, d))
-        if spec.single_pass:
-            assignment[mode_0] = ell
-            assignment[mode_d] = d + ell
-        else:
-            assignment[mode_d] = 2 * ell + pol
     if spec.single_pass:
         labels = [core.port_detector_label(port, e) for port in "0d" for e in range(d)]
+
+        def detector(pol, ell, mode):
+            return np.where(mode == 0, ell, np.where(mode == d, d + ell, -1))
     else:
         labels = [core.pol_detector_label(e, pol) for e in range(d) for pol in (POL_H, POL_V)]
-    return DetectorMap(d, tuple(spec.names.get(label, label) for label in labels), assignment)
+
+        def detector(pol, ell, mode):
+            return np.where(mode == d, 2 * ell + pol, -1)
+    return DetectorMap(d, tuple(spec.names.get(label, label) for label in labels), detector)
 
 
 def build_scheme(config: SchemeConfig) -> BuiltScheme:
@@ -285,21 +277,25 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Evolve the input photon through ``config`` and read out the detectors.
 
-    Returns the final (sub-normalized) state, the detection distribution and
-    the per-cycle survival trace.  A survival within the rounding budget of
-    the element applications so far reads as 1 in the trace and the readout.
+    Returns the final (sub-normalized) state on the labels it can reach, the
+    detection distribution and the per-cycle survival trace.  The survival
+    after a cycle is the sum of re^2 + im^2 over the reached amplitudes; one
+    within the rounding budget of the element applications so far reads as
+    1.  The switch-out only moves labels, so the readout takes the last
+    cycle's survival and its budget, and the report's survival is the
+    trace's last row.
     """
     built = build_scheme(config)
     labels, survival, last = _cycles(config, built)
-    final_state = PhotonState.from_labels(config.d, *core.propagate(built.switch_out, labels, last))
+    final_state = PhotonState(config.d, *core.propagate(built.switch_out, labels, last))
 
     per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
-    cycles = np.arange(1, built.n_cycles + 1)
-    survival[np.abs(1.0 - survival) <= per_application * cycles * len(built.cycle_elements)] = 1.0
+    budget = per_application * np.arange(1, built.n_cycles + 1) * len(built.cycle_elements)
+    distribution = core.detection_distribution(final_state, built.detector_map,
+                                               float(budget[-1]), float(survival[-1]))
+    survival[np.abs(1.0 - survival) <= budget] = 1.0
     before = np.concatenate(([1.0], survival[:-1]))
     kept = np.divide(survival, before, out=np.ones_like(survival), where=before > 0.0)
-    distribution = core.detection_distribution(final_state, built.detector_map,
-                                               per_application * built.applications)
     return SchemeResult(final_state, distribution, SchemeTrace(survival, 1.0 - kept))
 
 
@@ -310,12 +306,12 @@ def _cycles(config: SchemeConfig, built: BuiltScheme
     each cycle before the rounding clamp, and the last state on those labels."""
     d = config.d
     cycle = core.compose(built.cycle_elements, label="cycle")
-    start, amps = core.input_photon(d, 0 if config.spec.single_pass else d)
-    support, index, coeff = core.support_blocks(cycle, start, built.n_cycles)
+    start = core.input_photon(d, 0 if config.spec.single_pass else d)
+    support, index, coeff = core.support_blocks(cycle, start.labels, built.n_cycles)
     first = np.zeros(len(support), dtype=np.complex128)
-    first[np.searchsorted(support, start)] = amps
+    first[np.searchsorted(support, start.labels)] = start.amplitudes
     survival, last = _evolve(index, coeff, first, built.n_cycles)
-    labels = core.reach(cycle, start)
+    labels = core.reach(cycle, start.labels)
     held = np.zeros(len(labels), dtype=np.complex128)
     held[np.searchsorted(labels, support)] = last
     return labels, survival, held
@@ -377,7 +373,6 @@ def final_state_ideal(config: SchemeConfig) -> PhotonState:
     if not config.pattern.is_binary:
         raise ValueError("ideal final state requires an opaque/transparent pattern")
     d = config.d
-    amps = np.zeros((2, d, d + 1), dtype=np.complex128)
-    for ell, f in enumerate(config.pattern.f):
-        amps[POL_H if f else POL_V, ell, d] = 1.0 / np.sqrt(d)
-    return PhotonState(d, amps)
+    pol = np.where(config.pattern.f, POL_H, POL_V)
+    labels = (pol * d + np.arange(d)) * (d + 1) + d
+    return PhotonState(d, np.sort(labels), np.full(d, 1.0 / np.sqrt(d)))

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmsim import analytics, cli, core, experiment, verify
+from ifmsim import analytics, cli, core, experiment, schemes, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ifmsim.core import PixelPattern
-from ifmsim.schemes import SchemeConfig, SchemeTrace, run_scheme
+from ifmsim.schemes import KINDS, SchemeConfig, SchemeTrace, build_scheme, run_scheme
 
 
 def reject_constant(name):
@@ -288,6 +288,56 @@ class TestCmdRun:
         assert code == EXIT_USAGE
         assert "cycle count must be >= 1" in captured.err
         assert captured.out == ""
+
+    def test_small_survival_keeps_its_digits(self, capsys):
+        # Both pixels opaque at N = 1: a rotation by pi/2 leaves only a
+        # rounding residue of the H amplitude, which 1 - p_abs reads as 0.0.
+        argv = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "1", "--pattern", "11"]
+        _, report = run_json(capsys, argv)
+        assert report["survival"] == report["trace"][-1]["survival"] == 3.74939945665464e-33
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["survival"] == "3.74939945665464e-33"
+
+
+def random_run_argv(rng, kind):
+    """A ``run`` of ``kind`` on a random object: d <= 12, N <= 600, and each
+    pixel's transmission 0, 1 or a uniform draw."""
+    d = int(rng.integers(1, 13)) if KINDS[kind].per_pixel else 1
+    n_cycles = int(np.exp(rng.uniform(0, np.log(600.5))))
+    choice = rng.integers(0, 3, size=d)
+    transmissions = np.where(choice == 2, rng.random(d), choice)
+    return ["run", "--scheme", kind, "--d", str(d), "--N", str(n_cycles),
+            "--transmissions", ",".join(repr(float(t)) for t in transmissions)]
+
+
+class TestRunReportProperties:
+    """Seeded property check over random ``run`` configurations."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_reports_are_strict_bounded_and_agree_with_their_trace(self, capsys, kind):
+        rng = np.random.default_rng(900 + sorted(KINDS).index(kind))
+        for _ in range(50):
+            argv = random_run_argv(rng, kind)
+            assert main(argv) == EXIT_OK, argv
+            report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+            assert main(argv + ["--format", "csv"]) == EXIT_OK, argv
+            rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+            built = build_scheme(cli.parse_config(argv)[1].scheme_config())
+            budget = (schemes.ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps
+                      * built.n_cycles * len(built.cycle_elements))
+            # The asymptotic block is a large-N expansion, which leaves
+            # [0, 1] at small N; every other value is a probability.
+            exact = report["analytic"]["exact"] or {}
+            probabilities = [*report["detectors"].values(), report["p_abs"], report["survival"],
+                             *exact.values(), *(row[key] for row in report["trace"]
+                                                for key in ("p_abs_cycle", "survival"))]
+            assert all(0.0 <= p <= 1.0 for p in probabilities), argv
+            total = math.fsum([*report["detectors"].values(), report["p_abs"]])
+            assert abs(total - 1.0) <= budget, argv
+            last = report["trace"][-1]["survival"]
+            assert report["survival"] == last and float(rows["survival"]) == last, argv
+            assert {key: float(rows[key]) for key in report["detectors"]} == report["detectors"]
 
 
 class TestCmdSweep:

@@ -16,7 +16,6 @@ from ifmsim.core import (
     PixelPattern,
     basis_index,
     basis_state,
-    make_initial_state,
     space_dim,
 )
 from ifmsim.schemes import KINDS
@@ -47,18 +46,18 @@ def all_unitaries(d, theta=0.3):
 
 class TestInitialState:
     def test_single_pixel_zeno_input(self):
-        state = make_initial_state(1, 1)
+        state = core.input_photon(1, 1)
         assert state.amplitude(POL_H, 0, 1) == 1.0
         assert np.count_nonzero(state.amps) == 1
 
     def test_multipixel_zeno_input(self):
-        state = make_initial_state(4, 4)
+        state = core.input_photon(4, 4)
         for ell in range(4):
             assert state.amplitude(POL_H, ell, 4) == pytest.approx(0.5, abs=0)
         assert state.survival == pytest.approx(1.0, abs=1e-15)
 
     def test_single_pass_input(self):
-        state = make_initial_state(2, 0)
+        state = core.input_photon(2, 0)
         expected = 1.0 / math.sqrt(2.0)
         for ell in range(2):
             assert state.amplitude(POL_H, ell, 0) == pytest.approx(expected, abs=1e-15)
@@ -66,11 +65,11 @@ class TestInitialState:
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
-            make_initial_state(0, 0)
+            core.input_photon(0, 0)
 
     def test_rejects_mode_outside_the_space(self):
         with pytest.raises(ValueError):
-            make_initial_state(2, 3)
+            core.input_photon(2, 3)
 
 
 class TestBeamSplitter:
@@ -212,7 +211,7 @@ class TestObjectAttenuator:
         for ell in range(d):
             amps[POL_H, ell, ell] = 1.0 / math.sqrt(2 * d)
             amps[POL_H, ell, d] = 1.0 / math.sqrt(2 * d)
-        state = PhotonState(d, amps)
+        state = PhotonState.from_flat(d, amps)
         out = core.object_attenuator(pattern, "pixel-paths").apply(state)
         assert 1.0 - out.survival == pytest.approx(n_abs / (2 * d), abs=1e-15)
 
@@ -295,18 +294,20 @@ class TestNormProperties:
     def test_state_rejects_norm_above_one(self):
         amps = np.zeros((2, 1, 2), dtype=complex)
         amps[0, 0, 0] = 1.2
-        with pytest.raises(ValueError):
-            PhotonState(1, amps)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            PhotonState.from_flat(1, amps)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            PhotonState(1, [0, 3], [1.0, 0.2])
 
     def test_survival_of_fresh_state(self):
-        state = make_initial_state(3, 3)
+        state = core.input_photon(3, 3)
         assert state.survival == pytest.approx(1.0, abs=1e-15)
 
     def test_survival_after_object_contact(self):
         # Balanced two-arm split, then a fully opaque single pixel: half of
         # the probability mass is absorbed.
         d = 1
-        state = core.beam_splitter(d).apply(make_initial_state(d, 0))
+        state = core.beam_splitter(d).apply(core.input_photon(d, 0))
         out = core.object_attenuator(PixelPattern.opaque(1), "pixel-paths").apply(state)
         assert out.survival == pytest.approx(0.5, abs=1e-12)
 
@@ -319,7 +320,7 @@ class TestNormProperties:
         rot = core.polarisation_rotator(theta, d)
         pbs = core.polarising_beam_splitter(d)
         obj = core.object_attenuator(PixelPattern.opaque(1), "pixel-paths")
-        state = make_initial_state(d, d)
+        state = core.input_photon(d, d)
         for _ in range(n):
             for op in (rot, pbs, obj, pbs):
                 state = op.apply(state)
@@ -330,31 +331,31 @@ class TestDetection:
     def test_complete_map_sums_to_one(self):
         rng = np.random.default_rng(11)
         d = 3
-        groups = {
-            "A": [(p, ell, m) for p in (0, 1) for ell in range(d) for m in range(2)],
-            "B": [(p, ell, m) for p in (0, 1) for ell in range(d) for m in range(2, d + 1)],
-        }
-        dmap = DetectorMap.from_groups(d, groups)
+        # A reads modes 0 and 1, B the others.
+        dmap = DetectorMap(d, ("A", "B"), lambda pol, ell, mode: np.where(mode < 2, 0, 1))
         # scale below unit norm so the deficit reads as absorption
-        state = PhotonState(d, random_state(rng, d).amps * 0.7)
+        state = PhotonState.from_flat(d, random_state(rng, d).flat * 0.7)
         dist = core.detection_distribution(state, dmap)
         assert abs(dist.total() - 1.0) <= 1e-12
-
-    def test_double_assignment_rejected(self):
-        with pytest.raises(ValueError, match="mapped to both"):
-            DetectorMap.from_groups(1, {"A": [(0, 0, 0)], "B": [(0, 0, 0)]})
+        assert dist.p_abs == pytest.approx(0.51, abs=1e-15)
 
     def test_unmapped_mass_rejected(self):
         d = 1
-        dmap = DetectorMap.from_groups(d, {"A": [(POL_H, 0, 0)]})
+        dmap = DetectorMap(d, ("A",), lambda pol, ell, mode: np.where(
+            (pol == POL_H) & (ell == 0) & (mode == 0), 0, -1))
         state = basis_state(d, POL_V, 0, 1)
         with pytest.raises(ValueError, match="undetected"):
             core.detection_distribution(state, dmap)
 
+    def test_unknown_detector_rejected(self):
+        dmap = DetectorMap(1, ("A",), lambda pol, ell, mode: np.ones_like(mode))
+        with pytest.raises(ValueError, match="unknown label"):
+            core.detection_distribution(basis_state(1, POL_H, 0, 0), dmap)
+
     def test_rounding_budget_zeroes_only_deficits_within_it(self):
         d = 1
-        dmap = DetectorMap.from_groups(d, {"A": [(POL_H, 0, 0)], "B": [(POL_V, 0, 0)]})
-        state = PhotonState(d, basis_state(d, POL_H, 0, 0).amps * math.sqrt(1.0 - 1e-12))
+        dmap = DetectorMap(d, ("A", "B"), lambda pol, ell, mode: np.where(mode == 0, pol, -1))
+        state = PhotonState(d, [basis_index(d, POL_H, 0, 0)], [math.sqrt(1.0 - 1e-12)])
         assert core.detection_distribution(state, dmap, rounding_budget=2e-12).p_abs == 0.0
         kept = core.detection_distribution(state, dmap, rounding_budget=5e-13).p_abs
         assert kept == pytest.approx(1e-12, rel=1e-3)
@@ -577,7 +578,7 @@ def dense(index, coeff):
 
 def entry_labels(config):
     """The input photon's labels for ``config``."""
-    return core.input_photon(config.d, 0 if config.spec.single_pass else config.d)[0]
+    return core.input_photon(config.d, 0 if config.spec.single_pass else config.d).labels
 
 
 def kind_configs(kind, rng, cycle_counts, sizes=(1, 2, 5, 12)):
@@ -590,7 +591,7 @@ def kind_configs(kind, rng, cycle_counts, sizes=(1, 2, 5, 12)):
         for pattern, n_cycles in itertools.product(objects, cycle_counts):
             config = schemes.SchemeConfig(kind, pattern, n_cycles)
             cycle = core.compose(schemes.build_scheme(config).cycle_elements)
-            start = make_initial_state(d, 0 if config.spec.single_pass else d).flat
+            start = core.input_photon(d, 0 if config.spec.single_pass else d).flat
             yield config, cycle, start
 
 
@@ -600,8 +601,8 @@ class TestRestrictedForms:
         for d in range(1, 7):
             transmissions = rng.uniform(0.1, 0.9, size=d)
             cycle = core.compose(zeno_cycle(d, 0.2, transmissions))
-            labels, _ = core.input_photon(d, d)
-            start = core.make_initial_state(d, d).flat
+            labels = core.input_photon(d, d).labels
+            start = core.input_photon(d, d).flat
             support, index, coeff = core.support_blocks(cycle, labels, 50)
             sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
             assert set(support) == set(sites[:, :, d].ravel())
@@ -616,7 +617,7 @@ class TestRestrictedForms:
 
     def test_closure_stops_after_the_given_steps(self):
         cycle = core.compose(zeno_cycle(3, 0.2, (0.5, 0.5, 0.5)))
-        labels, _ = core.input_photon(3, 3)
+        labels = core.input_photon(3, 3).labels
         assert np.array_equal(core.support_blocks(cycle, labels, 0)[0], labels)
         assert len(core.support_blocks(cycle, labels, 1)[0]) == 6
 
@@ -624,7 +625,7 @@ class TestRestrictedForms:
         # The V amplitude of an opaque pixel is never reached; its pixel's
         # H amplitude reads it at zero, from itself.
         cycle = core.compose(zeno_cycle(3, 0.2, (0.0, 0.5, 0.0)))
-        labels, _ = core.input_photon(3, 3)
+        labels = core.input_photon(3, 3).labels
         support, index, coeff = core.support_blocks(cycle, labels, 10)
         assert list(support) == [3, 7, 11, 19]
         assert index.shape == (2, 4)
@@ -666,7 +667,7 @@ class TestRestrictedForms:
         # one block.
         d = 2
         cycle = core.compose([core.polarisation_rotator(0.3, d), core.beam_splitter(d)])
-        labels, _ = core.input_photon(d, 0)
+        labels = core.input_photon(d, 0).labels
         support, index, coeff = core.support_blocks(cycle, labels, 8)
         sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
         assert set(support) == set(sites[..., [0, d]].ravel())
@@ -678,7 +679,7 @@ class TestRestrictedForms:
 
     def test_pushes_are_shared_by_rules_of_one_shape(self):
         d = 4
-        labels, _ = core.input_photon(d, d)
+        labels = core.input_photon(d, d).labels
         first = core.compose(zeno_cycle(d, 0.1, (0.3, 0.0, 1.0, 0.5)))
         core.support_blocks(first, labels, 20)
         count = len(core._PUSHES)
@@ -689,7 +690,7 @@ class TestRestrictedForms:
 
     def test_block_powers_are_accurate_powers(self):
         cycle = core.compose(zeno_cycle(2, np.pi / 64, (0.3, 1.0)))
-        support, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2)[0], 64)
+        support, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2).labels, 64)
         powers = core.block_powers(index, coeff, 7)
         assert powers[0] is coeff
         for j, power in enumerate(powers):
@@ -728,13 +729,13 @@ class TestRestrictedForms:
 
     def test_block_powers_of_one_form_is_the_form(self):
         cycle = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
-        _, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2)[0], 4)
+        _, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2).labels, 4)
         powers = core.block_powers(index, coeff, 1)
         assert len(powers) == 1 and powers[0] is coeff
 
     def test_element_rejects_a_state_of_another_d(self):
         with pytest.raises(ValueError, match="applied to state"):
-            core.pockels_flip(1).apply(core.make_initial_state(2, 0))
+            core.pockels_flip(1).apply(core.input_photon(2, 0))
 
     def test_elements_fixed_by_d_are_shared(self):
         assert core.oam_sorter(3) is core.oam_sorter(3)
@@ -743,8 +744,8 @@ class TestRestrictedForms:
         assert not block.block.flags.writeable and not block.entries.flags.writeable
 
     def test_input_photon_is_shared_and_read_only(self):
-        labels, amps = core.input_photon(3, 3)
-        assert core.input_photon(3, 3)[0] is labels
-        assert not labels.flags.writeable and not amps.flags.writeable
-        assert np.array_equal(core.make_initial_state(3, 3).flat[labels], amps)
-        assert np.count_nonzero(core.make_initial_state(3, 3).flat) == 3
+        state = core.input_photon(3, 3)
+        assert core.input_photon(3, 3) is state
+        assert not state.labels.flags.writeable and not state.amplitudes.flags.writeable
+        assert np.array_equal(state.flat[state.labels], state.amplitudes)
+        assert np.count_nonzero(state.flat) == 3

@@ -19,12 +19,12 @@ exit code, stdout or stderr differs, then a count.  When two JSON reports
 differ in float values only, it lists each moved field, list positions
 folded into ``[*]``, with its largest change and, for ``run`` and
 ``shots``, that change as a fraction of the run's rounding budget (2 eps
-per element application); any other difference is shown as a unified
-diff.  Last it prints each tree's summed command time per workload.  The
-two interpreters run one after the other, the parent first, so neither
-competes with the other for a CPU; other load on the host still moves
-both.  The times are not compared.  It exits 0 when nothing differs and 1
-otherwise.
+per element application of its cycles); a z-score's change is first
+turned into the change of p that moves it that far.  Any other difference
+is shown as a unified diff.  The two interpreters run one after the other,
+the parent first.  No time is reported: the tree that runs second reads
+faster, so the times of one replay do not compare the trees.  It exits 0
+when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,18 +57,16 @@ HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "
                  ["verify", "--help"])
 
 # Runs each command of the JSON list in argv[1] and writes one JSON line
-# [exit, stdout, stderr] per command to argv[2], and its seconds, one line
-# each, to argv[3].
+# [exit, stdout, stderr] per command to argv[2].
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, sys
 from ifmsim.cli import main
 
 with open(sys.argv[1]) as handle:
     commands = json.load(handle)
-with open(sys.argv[2], "w") as results, open(sys.argv[3], "w") as times:
+with open(sys.argv[2], "w") as results:
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
@@ -76,7 +74,6 @@ with open(sys.argv[2], "w") as results, open(sys.argv[3], "w") as times:
                 code = exc.code
             except Exception as exc:
                 code = f"raised {type(exc).__name__}: {exc}"
-        times.write(f"{time.perf_counter() - start!r}\\n")
         results.write(json.dumps([code, out.getvalue(), err.getvalue()]) + "\\n")
 """
 
@@ -104,24 +101,14 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"cannot export revision {rev!r}")
 
 
-def replay(tree: Path, command_file: Path, result_file: Path, time_file: Path) -> None:
+def replay(tree: Path, command_file: Path, result_file: Path) -> None:
     """Run the commands on ``tree`` in a fresh interpreter and wait for it."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(command_file), str(result_file),
-                           str(time_file)], cwd=tree, env=env)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(command_file), str(result_file)],
+                          cwd=tree, env=env)
     if proc.returncode:
         raise SystemExit(f"replay interpreter exited {proc.returncode}")
-
-
-def workload_seconds(named: list[tuple[str, list[str]]], time_file: Path) -> dict[str, float]:
-    """Summed command seconds per workload, the part of a name before ``[``."""
-    totals: dict[str, float] = {}
-    with open(time_file) as times:
-        for (name, _), seconds in zip(named, times, strict=True):
-            workload = name.split("[")[0]
-            totals[workload] = totals.get(workload, 0.0) + float(seconds)
-    return totals
 
 
 def diff(kind: str, old: str, new: str) -> list[str]:
@@ -161,7 +148,8 @@ def rounding_budget(argv: list[str]) -> float | None:
     command, cfg = cli.parse_config(argv)
     if command not in ("run", "shots"):
         return None
-    applications = schemes.build_scheme(cfg.scheme_config()).applications
+    built = schemes.build_scheme(cfg.scheme_config())
+    applications = built.n_cycles * len(built.cycle_elements)
     return schemes.ROUNDING_ULPS_PER_APPLICATION * sys.float_info.epsilon * applications
 
 
@@ -172,7 +160,8 @@ def float_report(argv: list[str], old: list, new: list) -> list[str] | None:
     if old_code != new_code or old_err != new_err:
         return None
     try:
-        moves = float_moves(json.loads(old_out), json.loads(new_out))
+        report = json.loads(new_out)
+        moves = float_moves(json.loads(old_out), report)
     except ValueError:
         return None
     if not moves:
@@ -180,8 +169,18 @@ def float_report(argv: list[str], old: list, new: list) -> list[str] | None:
     budget = rounding_budget(argv)
     lines = []
     for field, change in moves.items():
-        ratio = "" if budget is None else f", {change / budget:.3g} of the run's budget"
-        lines.append(f"  {field}: largest change {change:.3g}{ratio}\n")
+        line = f"  {field}: largest change {change:.3g}"
+        if budget is not None and field.startswith("z_scores."):
+            # z = (f - p) / sqrt(p (1 - p) / shots): set against the budget
+            # the change of p that moves z this far.
+            label = field.removeprefix("z_scores.")
+            exact = report["exact"]
+            p = exact["p_abs"] if label == "absorbed" else exact["detectors"][label]
+            change *= (p * (1.0 - p) / report["shots"]) ** 0.5
+            line += f", as a change of p {change:.3g}"
+        if budget is not None:
+            line += f", {change / budget:.3g} of the run's budget"
+        lines.append(line + "\n")
     return lines
 
 
@@ -203,9 +202,8 @@ def main() -> int:
         command_file = tmp_path / "commands.json"
         command_file.write_text(json.dumps([argv for _, argv in named]))
         parent_results, this_results = tmp_path / "parent.jsonl", tmp_path / "this.jsonl"
-        parent_times, this_times = tmp_path / "parent.times", tmp_path / "this.times"
-        replay(parent, command_file, parent_results, parent_times)
-        replay(ROOT, command_file, this_results, this_times)
+        replay(parent, command_file, parent_results)
+        replay(ROOT, command_file, this_results)
         differing = floats_only = 0
         with open(parent_results) as old_lines, open(this_results) as new_lines:
             for (name, argv), old, new in zip(named, old_lines, new_lines, strict=True):
@@ -224,10 +222,6 @@ def main() -> int:
                     for kind, a, b in zip(("stdout", "stderr"), old[1:], new[1:]):
                         out += diff(kind, a, b)
                 sys.stdout.writelines(out)
-        old_seconds = workload_seconds(named, parent_times)
-        new_seconds = workload_seconds(named, this_times)
-    for workload, seconds in old_seconds.items():
-        print(f"{workload}: {seconds:.3f} s at {rev}, {new_seconds[workload]:.3f} s here")
     print(f"{len(named)} commands replayed against {rev} (streams with seed {args.seed}, "
           f"{args.commands} each): {differing} differ, {floats_only} of them in float values only")
     return 1 if differing else 0
