@@ -476,8 +476,12 @@ def _json_report(report: dict) -> str:
     return buffer.getvalue()
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.15g}"
+def _emit_csv(rows: list, out: str | None) -> None:
+    """Write ``rows`` as CSV, each float as its ``%.15g`` text and None as an empty cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [f"{v:.15g}" if isinstance(v, float) else v for v in row] for row in rows)
+    _emit(buf.getvalue(), out)
 
 
 def _analytic_block(config: SchemeConfig) -> dict:
@@ -521,14 +525,8 @@ def cmd_run(cfg: RunConfig) -> int:
     if (cfg.format or "json") == "json":
         _emit_json(report, cfg.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        for label, p in dist.probabilities.items():
-            writer.writerow([label, _fmt_float(p)])
-        writer.writerow(["p_abs", _fmt_float(dist.p_abs)])
-        writer.writerow(["survival", _fmt_float(result.trace.survival[-1])])
-        _emit(buf.getvalue(), cfg.out)
+        _emit_csv([("quantity", "value"), *dist.probabilities.items(),
+                   ("p_abs", dist.p_abs), ("survival", report["survival"])], cfg.out)
     return EXIT_OK
 
 
@@ -554,39 +552,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     rows = []
     for index, (value, point) in enumerate(zip(values, points)):
-        exact = analytics.exact_distribution(point)
-        asym = analytics.asymptotic_distribution(point)
-        row: dict = {
-            "index": index,
-            "axis": axis,
-            "value": float(value),
-            "scheme": point.kind,
-            "d": point.d,
-            "N": point.n_cycles,
-            "theta": point.effective_theta,
-        }
-        assert exact.exact is not None and asym is not None and asym.asymptotic is not None
-        for label, p in exact.exact.items():
-            row[f"exact_{label}"] = p
-        row["exact_p_abs"] = exact.p_abs
-        for label, p in asym.asymptotic.items():
-            row[f"asym_{label}"] = p
-        row["asym_p_abs"] = asym.p_abs
-        for label, p in asym.asymptotic.items():
-            row[f"gap_{label}"] = abs(exact.exact[label] - p)
-        row["gap_p_abs"] = abs(exact.p_abs - asym.p_abs)
+        row: dict = {"index": index, "axis": axis, "value": float(value), "scheme": point.kind,
+                     "d": point.d, "N": point.n_cycles, "theta": point.effective_theta}
+        block = _analytic_block(point)
+        exact = {**block["exact"], "p_abs": block["p_abs"]}
+        asym = block["asymptotic"] and {**block["asymptotic"], "p_abs": block["asymptotic_p_abs"]}
+        gap = asym and {key: abs(exact[key] - asym[key]) for key in exact}
+        # A row without the large-N expansion keeps its keys, at null.
+        for prefix, table in (("exact", exact), ("asym", asym), ("gap", gap)):
+            row.update((f"{prefix}_{key}", table[key] if table else None) for key in exact)
         rows.append(row)
 
     if (cfg.format or "json") == "json":
         _emit_json({"config": cfg.to_dict(), "rows": rows}, cfg.out)
     else:
         # Every row of a sweep has one kind and d, so the rows share their keys.
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_fmt_float(v) if isinstance(v, float) else v for v in row.values()])
-        _emit(buf.getvalue(), cfg.out)
+        _emit_csv([rows[0].keys(), *(row.values() for row in rows)], cfg.out)
     return EXIT_OK
 
 

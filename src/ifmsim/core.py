@@ -59,7 +59,7 @@ def basis_index(d: int, pol: int, ell: int, mode: int) -> int:
     return (pol * d + ell) * (d + 1) + mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonState:
     """Sub-normalized single-photon state on the labels it holds.
 
@@ -67,7 +67,8 @@ class PhotonState:
     order and ``amplitudes`` the amplitude on each; every other label holds
     zero.  The survival, the squared norm, must not exceed 1.  Both arrays
     are read-only, and element applications return new states.  The dense
-    ``flat`` and ``amps`` are built on request.
+    ``flat`` and ``amps`` are built on request.  Two states are equal when
+    they hold the same labels with the same amplitudes.
     """
 
     d: int
@@ -110,8 +111,8 @@ class PhotonState:
 
     @property
     def survival(self) -> float:
-        """The sum of re^2 + im^2 over the amplitudes held, as a run's trace sums it."""
-        return float(np.square(self.amplitudes.view(np.float64)).sum())
+        """The squared norm of the amplitudes held, as a run's trace sums it."""
+        return float(squared_norm(self.amplitudes))
 
     def amplitude(self, pol: int, ell: int, mode: int) -> complex:
         label = basis_index(self.d, pol, ell, mode)
@@ -127,8 +128,19 @@ class PhotonState:
                                          return_indices=True)
         return complex(np.vdot(self.amplitudes[mine], other.amplitudes[theirs]))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhotonState):
+            return NotImplemented
+        return (self.d == other.d and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.amplitudes, other.amplitudes))
+
     def __repr__(self) -> str:  # noqa: D105 - compact display, arrays are noisy
         return f"PhotonState(d={self.d}, survival={self.survival:.6g})"
+
+
+def squared_norm(amplitudes: np.ndarray) -> np.ndarray:
+    """The sum of re^2 + im^2 over the last axis of ``amplitudes``, in label order."""
+    return np.square(amplitudes.view(np.float64)).sum(axis=-1)
 
 
 def basis_state(d: int, pol: int, ell: int, mode: int) -> PhotonState:
@@ -422,22 +434,19 @@ def _cycle_blocks(rules: Sequence[ElementOp], start: np.ndarray) -> tuple:
             sources, program, _read_only(np.ascontiguousarray(members[root].T)), position[src], out)
 
 
-def reach(cycle: ElementOp, start: np.ndarray) -> np.ndarray:
-    """Sorted flat labels an input at ``start`` can reach under ``cycle`` whatever its values."""
-    return _cached(_cycle_blocks, start, cycle.rules)[0]
-
-
-def support_blocks(cycle: ElementOp, start: np.ndarray, steps: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The amplitudes an input at ``start`` reaches under ``cycle``, and ``cycle`` on them by blocks.
+def support_blocks(cycle: ElementOp, start: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The labels an input at ``start`` can reach under ``cycle``, the ones it
+    does reach, and ``cycle`` on those by blocks.
 
     ``start`` holds the sorted flat labels of the input's non-zero
-    amplitudes.  Returns the sorted labels ``support`` that the input holds
-    or that ``steps`` applications of ``cycle`` can make non-zero (an
-    amplitude is reached when one of its terms reads a reached amplitude
-    with a non-zero coefficient; the closure stops early when a step
-    reaches nothing new), and the gather form (``index``, ``coeff``) of
-    ``cycle`` on the amplitudes at ``support``.
+    amplitudes.  Returns the sorted ``labels`` the input can reach whatever
+    the cycle's values (shared by every cycle whose rules have its keys),
+    the positions ``reached`` among them of the amplitudes the input holds
+    or that applications of ``cycle`` make non-zero (an amplitude is
+    reached when one of its terms reads a reached amplitude with a non-zero
+    coefficient), and the gather form (``index``, ``coeff``) of ``cycle`` on
+    the amplitudes at ``reached``.
 
     A block is a set of amplitudes that the cycle's paths connect, so every
     power of the cycle maps each block into itself.  Term k of an amplitude
@@ -450,17 +459,18 @@ def support_blocks(cycle: ElementOp, start: np.ndarray, steps: int
     coeff = np.zeros(index.shape, dtype=np.complex128)
     coeff[slot, out] += _coefficients(sources, program, cycle.rules)
     links = coeff != 0
-    for _ in range(min(steps, len(live))):
+    while True:
         grown = live | (live[index] & links).any(axis=0)
         if np.array_equal(grown, live):
             break
         live = grown
+    reached = _read_only(np.flatnonzero(live))
     if live.all():
-        return labels, index, _read_only(coeff)
-    reads, kept = live[index], np.flatnonzero(live)
+        return labels, reached, index, _read_only(coeff)
+    reads = live[index]
     index = (np.cumsum(live) - 1)[np.where(reads, index, np.arange(len(live)))]
-    return (_read_only(labels[kept]), _read_only(index[:, kept]),
-            _read_only(np.where(reads, coeff, 0)[:, kept]))
+    return (labels, reached, _read_only(index[:, reached]),
+            _read_only(np.where(reads, coeff, 0)[:, reached]))
 
 
 def block_powers(index: np.ndarray, coeff: np.ndarray, count: int) -> list[np.ndarray]:
@@ -743,17 +753,16 @@ class DetectionDistribution:
 def detection_distribution(
     state: PhotonState,
     detector_map: DetectorMap,
-    rounding_budget: float = 0.0,
-    survival: float | None = None,
+    rounding_budget: float,
+    survival: float,
 ) -> DetectionDistribution:
     """Project a final state onto its detectors.
 
     Detector probabilities are the squared amplitude mass routed to each
     label, over the labels the state holds; the absorption probability is
-    the norm deficit 1 - ``survival``, where ``survival`` is the state's
-    (``PhotonState.survival``) unless given: a run passes the survival its
-    trace summed.  All probability mass must be covered, so amplitude on
-    undetected basis states is an error.  ``rounding_budget`` is the norm
+    the norm deficit 1 - ``survival``, the squared norm of ``state`` as the
+    run's trace summed it.  All probability mass must be covered, so
+    amplitude on undetected basis states is an error.  ``rounding_budget`` is the norm
     drift the evolution that produced ``state`` may have accumulated by
     rounding alone; a deficit within it reads as zero absorption, and the
     detector sums are then divided by the survival so that they add up to
@@ -772,7 +781,6 @@ def detection_distribution(
                        minlength=len(detector_map.labels))
     if len(sums) > len(detector_map.labels):
         raise ValueError("detector map references an unknown label")
-    survival = state.survival if survival is None else survival
     p_abs = 1.0 - survival
     # Unitary evolution drifts the norm by a few ulp per element
     # application, which must not masquerade as absorption (or gain).

@@ -302,19 +302,17 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
 def _cycles(config: SchemeConfig, built: BuiltScheme
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The labels the input can reach in ``built``'s cycles whatever the object
-    (``core.reach``, shared by every run of the kind and d), the survival after
-    each cycle before the rounding clamp, and the last state on those labels."""
-    d = config.d
+    (shared by every run of the kind and d), the survival after each cycle
+    before the rounding clamp, and the last state on those labels.  The
+    cycles run on the amplitudes the input reaches (``core.support_blocks``)."""
     cycle = core.compose(built.cycle_elements, label="cycle")
-    start = core.input_photon(d, 0 if config.spec.single_pass else d)
-    support, index, coeff = core.support_blocks(cycle, start.labels, built.n_cycles)
-    first = np.zeros(len(support), dtype=np.complex128)
-    first[np.searchsorted(support, start.labels)] = start.amplitudes
-    survival, last = _evolve(index, coeff, first, built.n_cycles)
-    labels = core.reach(cycle, start.labels)
-    held = np.zeros(len(labels), dtype=np.complex128)
-    held[np.searchsorted(labels, support)] = last
-    return labels, survival, held
+    start = core.input_photon(config.d, 0 if config.spec.single_pass else config.d)
+    labels, reached, index, coeff = core.support_blocks(cycle, start.labels)
+    # One array over the labels holds the input, then the last state.
+    state = np.zeros(len(labels), dtype=np.complex128)
+    state[np.searchsorted(labels, start.labels)] = start.amplitudes
+    survival, state[reached] = _evolve(index, coeff, state[reached], built.n_cycles)
+    return labels, survival, state
 
 
 def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
@@ -353,7 +351,7 @@ def _evolve(index: np.ndarray, coeff: np.ndarray, start: np.ndarray,
     done = 0
     while True:
         count = min(rows, n_cycles - done)
-        survival[done:done + count] = np.square(block[:count].view(np.float64)).sum(axis=1)
+        survival[done:done + count] = core.squared_norm(block[:count])
         done += count
         if done == n_cycles:
             return survival, block[count - 1]

@@ -335,7 +335,7 @@ class TestDetection:
         dmap = DetectorMap(d, ("A", "B"), lambda pol, ell, mode: np.where(mode < 2, 0, 1))
         # scale below unit norm so the deficit reads as absorption
         state = PhotonState.from_flat(d, random_state(rng, d).flat * 0.7)
-        dist = core.detection_distribution(state, dmap)
+        dist = core.detection_distribution(state, dmap, 0.0, state.survival)
         assert abs(dist.total() - 1.0) <= 1e-12
         assert dist.p_abs == pytest.approx(0.51, abs=1e-15)
 
@@ -345,19 +345,19 @@ class TestDetection:
             (pol == POL_H) & (ell == 0) & (mode == 0), 0, -1))
         state = basis_state(d, POL_V, 0, 1)
         with pytest.raises(ValueError, match="undetected"):
-            core.detection_distribution(state, dmap)
+            core.detection_distribution(state, dmap, 0.0, state.survival)
 
     def test_unknown_detector_rejected(self):
         dmap = DetectorMap(1, ("A",), lambda pol, ell, mode: np.ones_like(mode))
         with pytest.raises(ValueError, match="unknown label"):
-            core.detection_distribution(basis_state(1, POL_H, 0, 0), dmap)
+            core.detection_distribution(basis_state(1, POL_H, 0, 0), dmap, 0.0, 1.0)
 
     def test_rounding_budget_zeroes_only_deficits_within_it(self):
         d = 1
         dmap = DetectorMap(d, ("A", "B"), lambda pol, ell, mode: np.where(mode == 0, pol, -1))
         state = PhotonState(d, [basis_index(d, POL_H, 0, 0)], [math.sqrt(1.0 - 1e-12)])
-        assert core.detection_distribution(state, dmap, rounding_budget=2e-12).p_abs == 0.0
-        kept = core.detection_distribution(state, dmap, rounding_budget=5e-13).p_abs
+        assert core.detection_distribution(state, dmap, 2e-12, state.survival).p_abs == 0.0
+        kept = core.detection_distribution(state, dmap, 5e-13, state.survival).p_abs
         assert kept == pytest.approx(1e-12, rel=1e-3)
 
     def test_distribution_total_validated(self):
@@ -576,6 +576,12 @@ def dense(index, coeff):
     return m
 
 
+def reached_blocks(cycle, start):
+    """The labels ``start`` reaches under ``cycle`` and its block form on them."""
+    labels, reached, index, coeff = core.support_blocks(cycle, start)
+    return labels[reached], index, coeff
+
+
 def entry_labels(config):
     """The input photon's labels for ``config``."""
     return core.input_photon(config.d, 0 if config.spec.single_pass else config.d).labels
@@ -603,7 +609,7 @@ class TestRestrictedForms:
             cycle = core.compose(zeno_cycle(d, 0.2, transmissions))
             labels = core.input_photon(d, d).labels
             start = core.input_photon(d, d).flat
-            support, index, coeff = core.support_blocks(cycle, labels, 50)
+            support, index, coeff = reached_blocks(cycle, labels)
             sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
             assert set(support) == set(sites[:, :, d].ravel())
             assert index.shape == coeff.shape == (2, 2 * d)
@@ -615,18 +621,22 @@ class TestRestrictedForms:
                 assert np.array_equal(full[support], small)
                 assert np.count_nonzero(np.delete(full, support)) == 0
 
-    def test_closure_stops_after_the_given_steps(self):
-        cycle = core.compose(zeno_cycle(3, 0.2, (0.5, 0.5, 0.5)))
+    def test_labels_are_shared_and_reached_positions_are_per_cycle(self):
+        # Any object lets the photon reach both pols of every pixel; an
+        # opaque pixel's V amplitude is then never reached.
         labels = core.input_photon(3, 3).labels
-        assert np.array_equal(core.support_blocks(cycle, labels, 0)[0], labels)
-        assert len(core.support_blocks(cycle, labels, 1)[0]) == 6
+        opaque = core.support_blocks(core.compose(zeno_cycle(3, 0.2, (0.0, 0.5, 0.0))), labels)
+        clear = core.support_blocks(core.compose(zeno_cycle(3, 0.7, (0.5, 1.0, 0.5))), labels)
+        assert opaque[0] is clear[0] and list(opaque[0]) == [3, 7, 11, 15, 19, 23]
+        assert list(opaque[1]) == [0, 1, 2, 4] and list(clear[1]) == list(range(6))
+        assert not opaque[1].flags.writeable
 
     def test_unreached_amplitudes_are_left_out(self):
         # The V amplitude of an opaque pixel is never reached; its pixel's
         # H amplitude reads it at zero, from itself.
         cycle = core.compose(zeno_cycle(3, 0.2, (0.0, 0.5, 0.0)))
         labels = core.input_photon(3, 3).labels
-        support, index, coeff = core.support_blocks(cycle, labels, 10)
+        support, index, coeff = reached_blocks(cycle, labels)
         assert list(support) == [3, 7, 11, 19]
         assert index.shape == (2, 4)
         assert np.array_equal(index[:, [0, 2]], [[0, 2], [0, 2]])
@@ -637,8 +647,7 @@ class TestRestrictedForms:
         # Row 0 of a run's trace is the block form applied to the input.
         rng = np.random.default_rng(40 + sorted(KINDS).index(kind))
         for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257)):
-            support, index, coeff = core.support_blocks(cycle, entry_labels(config),
-                                                        config.n_cycles)
+            support, index, coeff = reached_blocks(cycle, entry_labels(config))
             assert np.array_equal(core.gather(index, coeff, start[support]),
                                   cycle.apply_flat(start)[support]), config
 
@@ -653,8 +662,8 @@ class TestRestrictedForms:
             elements = schemes.build_scheme(config).cycle_elements
             for op in elements:
                 product = op.matrix @ product
-            support, index, coeff = core.support_blocks(
-                core.compose(elements), entry_labels(config), config.n_cycles)
+            support, index, coeff = reached_blocks(core.compose(elements),
+                                                   entry_labels(config))
             restricted = product[np.ix_(support, support)]
             assert np.max(np.abs(dense(index, coeff) - restricted)) <= 1e-15, config
             # The support is closed: nothing it holds leaks outside it.
@@ -668,7 +677,7 @@ class TestRestrictedForms:
         d = 2
         cycle = core.compose([core.polarisation_rotator(0.3, d), core.beam_splitter(d)])
         labels = core.input_photon(d, 0).labels
-        support, index, coeff = core.support_blocks(cycle, labels, 8)
+        support, index, coeff = reached_blocks(cycle, labels)
         sites = np.arange(core.space_dim(d)).reshape(2, d, d + 1)
         assert set(support) == set(sites[..., [0, d]].ravel())
         assert index.shape == (4, 8)
@@ -681,16 +690,16 @@ class TestRestrictedForms:
         d = 4
         labels = core.input_photon(d, d).labels
         first = core.compose(zeno_cycle(d, 0.1, (0.3, 0.0, 1.0, 0.5)))
-        core.support_blocks(first, labels, 20)
+        core.support_blocks(first, labels)
         count = len(core._PUSHES)
         second = core.compose(zeno_cycle(d, 0.7, (1.0, 0.2, 0.0, 0.0)))
-        _, _, coeff = core.support_blocks(second, labels, 20)
+        _, _, _, coeff = core.support_blocks(second, labels)
         assert len(core._PUSHES) == count
-        assert np.array_equal(coeff, core.support_blocks(second, labels, 20)[2])
+        assert np.array_equal(coeff, core.support_blocks(second, labels)[3])
 
     def test_block_powers_are_accurate_powers(self):
         cycle = core.compose(zeno_cycle(2, np.pi / 64, (0.3, 1.0)))
-        support, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2).labels, 64)
+        support, index, coeff = reached_blocks(cycle, core.input_photon(2, 2).labels)
         powers = core.block_powers(index, coeff, 7)
         assert powers[0] is coeff
         for j, power in enumerate(powers):
@@ -702,8 +711,7 @@ class TestRestrictedForms:
     def test_block_squares_equal_merged_squares_bit_for_bit(self, kind):
         rng = np.random.default_rng(sorted(KINDS).index(kind))
         for config, cycle, _ in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
-            support, index, coeff = core.support_blocks(cycle, entry_labels(config),
-                                                        config.n_cycles)
+            support, index, coeff = reached_blocks(cycle, entry_labels(config))
             vec = [1.0, 1j] @ rng.normal(size=(2, len(support)))
             powers = core.block_powers(index, coeff, 12)
             references = merged_doublings(index, coeff, 12)
@@ -729,7 +737,7 @@ class TestRestrictedForms:
 
     def test_block_powers_of_one_form_is_the_form(self):
         cycle = core.compose(zeno_cycle(2, 0.1, (0.3, 0.0)))
-        _, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2).labels, 4)
+        _, _, index, coeff = core.support_blocks(cycle, core.input_photon(2, 2).labels)
         powers = core.block_powers(index, coeff, 1)
         assert len(powers) == 1 and powers[0] is coeff
 

@@ -405,8 +405,9 @@ class TestDoublingEngine:
                 vec, survival = sequential_run(config)
                 case = (kind, pattern.transmissions, n)
                 assert np.max(np.abs(result.state.flat - vec)) <= budget, case
+                state = core.PhotonState.from_flat(d, vec)
                 reference = core.detection_distribution(
-                    core.PhotonState.from_flat(d, vec), build_scheme(config).detector_map, budget)
+                    state, build_scheme(config).detector_map, budget, state.survival)
                 assert abs(result.distribution.p_abs - reference.p_abs) <= budget, case
                 for label, p in reference.probabilities.items():
                     assert abs(result.distribution.probabilities[label] - p) <= budget, case
@@ -423,8 +424,8 @@ class TestDoublingEngine:
                 config = SchemeConfig(kind, pattern, 300)
                 cycle = core.compose(build_scheme(config).cycle_elements)
                 start = core.input_photon(d, d).labels
-                support, index, coeff = core.support_blocks(cycle, start, config.n_cycles)
-                assert len(support) <= 2 * d and index.shape[0] <= 2
+                labels, reached, index, coeff = core.support_blocks(cycle, start)
+                assert len(reached) <= len(labels) <= 2 * d and index.shape[0] <= 2
 
 
 class TestSlabbedGathers:
@@ -504,8 +505,7 @@ class TestSharedPerKindAndD:
         start = core.input_photon(d, d)
         shared = [start.labels, start.amplitudes, core.polarisation_rotator(0.1, d).entries]
         cycle = core.compose(build_scheme(config).cycle_elements)
-        support, index, coeff = core.support_blocks(cycle, start.labels, 4)
-        shared += [support, index, coeff]
+        shared += core.support_blocks(cycle, start.labels)
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1

@@ -11,8 +11,10 @@ a worktree, leaves the repository as it was).  The commands are the first
 with seed ``--seed`` (1), then four ``run`` commands whose cycle trace
 holds edge values (a unitary run, where every survival is 1.0 and every
 absorption 0.0, a long run, a 64-pixel semi-transparent run and a run one
-cycle past the engine's block of trace rows), then ``--help`` for the top
-level and for each subcommand.
+cycle past the engine's block of trace rows), then ``--format csv``
+variants of ``run`` and ``sweep`` (the benchmark streams write JSON only;
+one sweep has rows without a large-N expansion), then ``--help`` for the
+top level and for each subcommand.
 Each tree runs them in its own interpreter, through ``ifmsim.cli.main``
 in-process, as the benchmark does.  The script prints every command whose
 exit code, stdout or stderr differs, then a count.  When two JSON reports
@@ -53,6 +55,17 @@ TRACE_COMMANDS = (
     ["run", "--scheme", "michelson-zeno", "--d", "5", "--N", str(schemes.BLOCK_ROWS + 1),
      "--transmissions", "0.3,1,0,0.8,0.5"],
 )
+CSV_COMMANDS = (
+    ["run", "--scheme", "michelson-zeno", "--d", "4", "--N", "100", "--pattern", "1010"],
+    ["run", "--scheme", "multipixel-single-pass", "--d", "3", "--transmissions", "0.3,1,0"],
+    ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "3", "--transmissions", "0.9,0.5"],
+    ["run", "--scheme", "ev-single-pass", "--d", "1", "--pattern", "1"],
+    ["sweep", "--scheme", "multipixel-zeno", "--d", "3", "--pattern", "101",
+     "--sweep-N", "1,10,1000"],
+    ["sweep", "--scheme", "zeno-single-pixel", "--d", "1", "--N", "50", "--sweep-T", "0,0.5,1"],
+    ["sweep", "--scheme", "michelson-zeno", "--d", "6", "--N", "5",
+     "--sweep-T", "0.019,0.826,0.156,1,0.972,0,0.947"],
+)
 HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
                  ["verify", "--help"])
 
@@ -89,6 +102,7 @@ def commands(seed: int, count: int) -> list[tuple[str, list[str]]]:
         stream = itertools.islice(workload.stream(seed), count)
         named += [(f"{workload.name}[{i}]", argv) for i, argv in enumerate(stream)]
     named += [(f"trace[{i}]", argv) for i, argv in enumerate(TRACE_COMMANDS)]
+    named += [(f"csv[{i}]", [*argv, "--format", "csv"]) for i, argv in enumerate(CSV_COMMANDS)]
     return named + [("help", argv) for argv in HELP_COMMANDS]
 
 
