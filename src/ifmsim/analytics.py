@@ -144,13 +144,16 @@ def exact_distribution(config: SchemeConfig) -> AnalyticReport:
 
 
 def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
-    """Large-N report at theta = pi/2N for the cycling schemes, else None.
+    """Large-N report at theta = pi/2N for the cycling schemes where it is a
+    probability, else None.
 
     p_h = (1/d) (1 - (1+sqrt(T))/(1-sqrt(T)) pi^2/4N) and
     p_v = (1/d) T/(1-sqrt(T))^2 pi^2/4N^2.  The expansion has a pole at
     T = 1, so fully transparent pixels take their exact limit (0, 1/d)
     instead.  As in ``exact_distribution``, the absorption is summed over
-    the pixels with T < 1 only.
+    the pixels with T < 1 only.  Below N = (1+sqrt(T)) pi^2/(4(1-sqrt(T)))
+    a pixel's p_h is negative, so the report is None when any value it
+    would hold, as computed, lies outside [0, 1].
     """
     if config.spec.single_pass:
         return None
@@ -167,4 +170,6 @@ def asymptotic_distribution(config: SchemeConfig) -> AnalyticReport | None:
             lost += 1.0 - ph - pv
         asym[core.pol_detector_label(ell, POL_H)] = ph / d
         asym[core.pol_detector_label(ell, POL_V)] = pv / d
+    if not all(0.0 <= p <= 1.0 for p in (*asym.values(), lost / d)):
+        return None
     return AnalyticReport(None, config.spec.relabel(asym), lost / d)

@@ -762,11 +762,11 @@ def detection_distribution(
     label, over the labels the state holds; the absorption probability is
     the norm deficit 1 - ``survival``, the squared norm of ``state`` as the
     run's trace summed it.  All probability mass must be covered, so
-    amplitude on undetected basis states is an error.  ``rounding_budget`` is the norm
-    drift the evolution that produced ``state`` may have accumulated by
-    rounding alone; a deficit within it reads as zero absorption, and the
-    detector sums are then divided by the survival so that they add up to
-    1.  A deficit beyond the budget is kept.
+    amplitude on undetected basis states is an error.  ``rounding_budget``
+    is the norm drift the evolution that produced ``state`` may have
+    accumulated by rounding alone; a deficit within it reads as zero
+    absorption, and the detector sums are then divided by the survival so
+    that they add up to 1.  A deficit beyond the budget is kept.
     """
     d = state.d
     if d != detector_map.d:

@@ -308,7 +308,6 @@ def _cycles(config: SchemeConfig, built: BuiltScheme
     cycle = core.compose(built.cycle_elements, label="cycle")
     start = core.input_photon(config.d, 0 if config.spec.single_pass else config.d)
     labels, reached, index, coeff = core.support_blocks(cycle, start.labels)
-    # One array over the labels holds the input, then the last state.
     state = np.zeros(len(labels), dtype=np.complex128)
     state[np.searchsorted(labels, start.labels)] = start.amplitudes
     survival, state[reached] = _evolve(index, coeff, state[reached], built.n_cycles)

@@ -318,6 +318,26 @@ class TestAsymptoticDistribution:
         expected = asymptotic_distribution(zeno((0.0,), 100)).asymptotic
         assert report.asymptotic == {"Dh": expected["D0_h"], "Dv": expected["D0_v"]}
 
+    def test_none_exactly_where_a_pixel_reports_a_negative_p_h(self):
+        # Below T = 1, p_h < 0 exactly when N < (1+sqrt(T)) pi^2 / (4(1-sqrt(T))),
+        # and then the report holds a value outside [0, 1].
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            t = float(rng.choice([0.0, rng.random(), rng.random() ** 8, 1.0 - rng.random() ** 4]))
+            n = int(np.exp(rng.uniform(0, np.log(5000.5))))
+            report = asymptotic_distribution(zeno((t, 1.0), n))
+            r = math.sqrt(t)
+            assert (report is None) == (n < (1 + r) * np.pi**2 / (4 * (1 - r))), (t, n)
+            if report is not None:
+                values = [*report.asymptotic.values(), report.p_abs]
+                assert all(0.0 <= p <= 1.0 for p in values), (t, n)
+
+    def test_none_where_the_expansion_leaves_its_range(self):
+        # At N = 3 the expansion gave D0_v = 46.8 and p_abs = -29.6.
+        assert asymptotic_distribution(zeno((0.9, 0.5), 3)) is None
+        transparent = asymptotic_distribution(zeno((1.0, 1.0), 1))
+        assert transparent.asymptotic == {"D0_h": 0.0, "D0_v": 0.5, "D1_h": 0.0, "D1_v": 0.5}
+
     def test_none_for_single_pass_kinds(self):
         pattern = PixelPattern.from_bits("10")
         assert analytics.asymptotic_distribution(

@@ -195,6 +195,15 @@ class TestCmdRun:
         assert report["analytic"]["exact"] is None
         assert report["analytic"]["p_abs"] is None
 
+    def test_asymptotic_block_is_null_where_it_is_no_probability(self, capsys):
+        # At N = 3 the expansion gives D0_v = 46.8 and asymptotic_p_abs = -29.6.
+        code, report = run_json(capsys, ["run", "--scheme", "multipixel-zeno", "--d", "2",
+                                         "--N", "3", "--transmissions", "0.9,0.5"])
+        assert code == EXIT_OK
+        assert report["analytic"]["asymptotic"] is None
+        assert "asymptotic_p_abs" not in report["analytic"]
+        assert report["analytic"]["exact"] is not None
+
     def test_oracle_fault_exits_numeric(self, monkeypatch, capsys):
         # The exact table used to be dropped on any ValueError, so a fault
         # in the closed form was reported as "exact": null with exit 0.
@@ -326,18 +335,83 @@ class TestRunReportProperties:
             built = build_scheme(cli.parse_config(argv)[1].scheme_config())
             budget = (schemes.ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps
                       * built.n_cycles * len(built.cycle_elements))
-            # The asymptotic block is a large-N expansion, which leaves
-            # [0, 1] at small N; every other value is a probability.
-            exact = report["analytic"]["exact"] or {}
+            analytic = report["analytic"]
+            exact = analytic["exact"] or {}
+            asymptotic = [*analytic["asymptotic"].values(), analytic["asymptotic_p_abs"]] \
+                if analytic["asymptotic"] is not None else []
             probabilities = [*report["detectors"].values(), report["p_abs"], report["survival"],
-                             *exact.values(), *(row[key] for row in report["trace"]
-                                                for key in ("p_abs_cycle", "survival"))]
+                             *exact.values(), *asymptotic,
+                             *(row[key] for row in report["trace"]
+                               for key in ("p_abs_cycle", "survival"))]
             assert all(0.0 <= p <= 1.0 for p in probabilities), argv
             total = math.fsum([*report["detectors"].values(), report["p_abs"]])
             assert abs(total - 1.0) <= budget, argv
             last = report["trace"][-1]["survival"]
             assert report["survival"] == last and float(rows["survival"]) == last, argv
             assert {key: float(rows[key]) for key in report["detectors"]} == report["detectors"]
+
+
+def random_transmissions(rng, size):
+    """``size`` transmissions, each 0, 1 or a uniform draw."""
+    choice = rng.integers(0, 3, size=size)
+    return ",".join(repr(float(t)) for t in np.where(choice == 2, rng.random(size), choice))
+
+
+def random_cycle_counts(rng, size, most):
+    """``size`` cycle counts drawn log-uniformly from 1..``most``."""
+    return ",".join(str(int(n)) for n in np.exp(rng.uniform(0, np.log(most + 0.5), size=size)))
+
+
+class TestSweepAndShotsReportProperties:
+    """Seeded property checks over random ``sweep`` and ``shots`` reports."""
+
+    CYCLING = sorted(k for k, spec in KINDS.items() if not spec.single_pass)
+    MULTI_PIXEL = sorted(k for k, spec in KINDS.items() if spec.per_pixel)
+
+    @pytest.mark.parametrize("kind", CYCLING)
+    def test_sweep_reports_are_strict_and_bounded(self, capsys, kind):
+        rng = np.random.default_rng(700 + self.CYCLING.index(kind))
+        for _ in range(50):
+            d = int(rng.integers(1, 9)) if KINDS[kind].per_pixel else 1
+            count = int(rng.integers(1, 6))
+            if rng.random() < 0.5:
+                axis = ["--transmissions", random_transmissions(rng, d),
+                        "--sweep-N", random_cycle_counts(rng, count, 2000)]
+            else:
+                axis = ["--N", random_cycle_counts(rng, 1, 2000),
+                        "--sweep-T", random_transmissions(rng, count)]
+            argv = ["sweep", "--scheme", kind, "--d", str(d), *axis]
+            assert main(argv) == EXIT_OK, argv
+            report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+            assert len(report["rows"]) == count, argv
+            for row in report["rows"]:
+                exact = [v for k, v in row.items() if k.startswith("exact_")]
+                asym = [v for k, v in row.items() if k.startswith(("asym_", "gap_"))]
+                assert all(0.0 <= p <= 1.0 for p in exact), (argv, row)
+                assert abs(math.fsum(exact) - 1.0) <= 1e-12, (argv, row)
+                assert all(p is None for p in asym) or all(0.0 <= p <= 1.0 for p in asym), \
+                    (argv, row)
+
+    @pytest.mark.parametrize("kind", MULTI_PIXEL)
+    def test_shots_reports_are_strict_and_count_every_shot(self, capsys, kind):
+        rng = np.random.default_rng(800 + self.MULTI_PIXEL.index(kind))
+        for _ in range(25):
+            d = int(rng.integers(1, 9))
+            object_ = (["--pattern", "".join(map(str, rng.integers(0, 2, size=d)))]
+                       if rng.random() < 0.5 else
+                       ["--transmissions", random_transmissions(rng, d)])
+            argv = ["shots", "--scheme", kind, "--d", str(d),
+                    "--N", random_cycle_counts(rng, 1, 200), *object_,
+                    "--shots", random_cycle_counts(rng, 1, 20_000),
+                    "--seed", str(int(rng.integers(0, 2**32)))]
+            code = main(argv)
+            report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+            assert code == (EXIT_MISMATCH if report["pattern_match"] is False else EXIT_OK), argv
+            assert sum(report["counts"].values()) + report["absorbed"] == report["shots"], argv
+            assert report["shots"] == int(argv[argv.index("--shots") + 1])
+            exact = [*report["exact"]["detectors"].values(), report["exact"]["p_abs"]]
+            assert all(0.0 <= p <= 1.0 for p in exact), argv
+            assert abs(math.fsum(exact) - 1.0) <= 1e-12, argv
 
 
 class TestCmdSweep:
@@ -363,6 +437,30 @@ class TestCmdSweep:
         assert code == EXIT_OK
         gaps = [row["gap_D0_h"] for row in report["rows"]]
         assert gaps[0] < gaps[1] < gaps[2]
+
+    def test_rows_without_the_expansion_keep_their_keys_at_null(self, capsys):
+        # At N = 5 the expansion gave asym_p_abs = -413.07 at T = 0.972.
+        argv = ["sweep", "--scheme", "michelson-zeno", "--d", "6", "--N", "5",
+                "--sweep-T", "0.019,0.826,0.156,1,0.972,0,0.947"]
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_OK
+        null = [row["value"] for row in report["rows"] if row["asym_p_abs"] is None]
+        assert null == [0.826, 0.156, 0.972, 0.947]
+        for row in report["rows"]:
+            asym = [v for k, v in row.items() if k.startswith(("asym_", "gap_"))]
+            assert len(asym) == 26
+            assert all(v is None for v in asym) or all(0.0 <= v <= 1.0 for v in asym)
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        keys = header.split(",")
+        assert keys[:7] == ["index", "axis", "value", "scheme", "d", "N", "theta"]
+        assert [k.split("_")[0] for k in keys[7:]] == ["exact"] * 13 + ["asym"] * 13 + ["gap"] * 13
+        for row, line in zip(report["rows"], lines, strict=True):
+            cells = dict(zip(keys, line.split(","), strict=True))
+            assert cells.keys() == row.keys()
+            for key, value in row.items():
+                text = f"{value:.15g}" if isinstance(value, float) else str(value)
+                assert cells[key] == ("" if value is None else text), key
 
     def test_single_point_sweep(self, capsys):
         code, report = run_json(capsys, [

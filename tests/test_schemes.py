@@ -96,6 +96,15 @@ class TestRunScheme:
                 assert probs[f"Dd_{ell}"] == pytest.approx(0.0, abs=1e-12)
         assert result.distribution.p_abs == pytest.approx(2 / 8, abs=1e-12)
 
+    def test_results_compare_by_value(self):
+        config = SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 5)
+        assert run_scheme(config) == run_scheme(config)
+        other = run_scheme(SchemeConfig("multipixel-zeno", PixelPattern.from_bits("10"), 6))
+        assert run_scheme(config) != other
+        assert run_scheme(config).state != other.state
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(other.state)
+
     def test_distribution_complete_for_every_kind(self):
         rng = np.random.default_rng(3)
         cases = [
