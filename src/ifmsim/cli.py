@@ -133,7 +133,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Config from file keys; a null or missing key keeps the default."""
+        """Config from file keys, each in one spelling; a null or missing key keeps the default."""
         if not isinstance(data, dict):
             raise UsageError("config: expected a JSON object")
         known = {k for f in FIELDS for k in (f.key, f.key.replace("-", "_"))}
@@ -142,9 +142,11 @@ class RunConfig:
                 raise UsageError(f"config: {key}: unknown key")
         values = {}
         for field in FIELDS:
-            value = data.get(field.key)
-            if value is None:
-                value = data.get(field.key.replace("-", "_"))
+            given = {field.key, field.key.replace("-", "_")} & data.keys()
+            if len(given) > 1:
+                raise UsageError(f"config: {field.key}: given twice, as "
+                                 f"{' and '.join(map(repr, sorted(given)))}")
+            value = data[given.pop()] if given else None
             if value is not None:
                 values[field.attr] = field.from_json(value)
         return cls(**values)
@@ -303,7 +305,7 @@ def _json_float(x: float) -> str:
 def _json_write(obj, out: list, indent: str) -> None:
     """Append the JSON text of ``obj``, nested at ``indent``, to ``out``.
 
-    A trace is appended as the iterator of its text (``_json_write_trace``);
+    A trace is appended as the iterator of its text (``_trace_blocks``);
     everything else as strings.
     """
     # Floats come first because reports are mostly floats; a bool is tested
@@ -333,7 +335,14 @@ def _json_write(obj, out: list, indent: str) -> None:
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(obj, SchemeTrace):
-        _json_write_trace(obj, out, indent)
+        # The columns are checked for NaN and infinity here, so a bad trace
+        # raises before any of its text is written; the rows are formatted
+        # later, when the iterator is read, ``TRACE_BLOCK_ROWS`` at a time.
+        for column in (obj.p_abs_cycle, obj.survival):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise _non_finite(float(column[bad[0]]))
+        out.append(_trace_blocks(obj, indent) if len(obj) else "[]")
     elif isinstance(obj, str):
         out.append(_json_str(obj))
     elif obj is None:
@@ -346,20 +355,6 @@ def _json_write(obj, out: list, indent: str) -> None:
         out.append(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_write_trace(trace: SchemeTrace, out: list, indent: str) -> None:
-    """Append ``trace`` as the iterator of its ``cycle``/``p_abs_cycle``/``survival`` rows.
-
-    The columns are checked for NaN and infinity here, so a bad trace raises
-    before any of its text is written; the rows are formatted later, when
-    the iterator is read, ``TRACE_BLOCK_ROWS`` at a time.
-    """
-    for column in (trace.p_abs_cycle, trace.survival):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise _non_finite(float(column[bad[0]]))
-    out.append(_trace_blocks(trace, indent) if len(trace) else "[]")
 
 
 def _trace_blocks(trace: SchemeTrace, indent: str) -> Iterator[str]:

@@ -111,7 +111,8 @@ class PhotonState:
 
     @property
     def survival(self) -> float:
-        """The squared norm of the amplitudes held, as a run's trace sums it."""
+        """The squared norm of the amplitudes held; a run's trace sums only
+        the amplitudes it reaches, so its survival may differ by rounding."""
         return float(squared_norm(self.amplitudes))
 
     def amplitude(self, pol: int, ell: int, mode: int) -> complex:
@@ -178,16 +179,13 @@ def input_photon(d: int, mode: int) -> PhotonState:
 
 class ElementOp:
     """A linear optical element on the labels of ``d`` pixels: one of three
-    rules, or a :class:`Chain` of them, applying ``rules`` in order.  A push of
-    a rule depends on its ``key`` (its identity, unless it says otherwise), so
-    elements are shared and not changed once built."""
+    rules, or the ``rules`` of the elements it composes (:func:`compose`), in
+    order.  A push of a rule depends on its ``key`` (its identity, unless it
+    says otherwise), so elements are shared and not changed once built."""
 
-    def __init__(self, label: str, d: int) -> None:
+    def __init__(self, label: str, d: int, rules: Sequence["ElementOp"] = ()) -> None:
         self.label, self.d = label, d
-
-    @property
-    def rules(self) -> tuple["ElementOp", ...]:
-        return (self,)
+        self.rules = tuple(rules) or (self,)
 
     @property
     def key(self) -> object:
@@ -289,20 +287,9 @@ class Block(ElementOp):
         return member, labels + np.where(member == 0, second - first, first - second) * stride
 
 
-class Chain(ElementOp):
-    """Elements applied in order (:func:`compose`)."""
-
-    def __init__(self, label: str, d: int, parts: Sequence[ElementOp]) -> None:
-        super().__init__(label, d)
-        self.parts = tuple(parts)
-
-    @property
-    def rules(self) -> tuple[ElementOp, ...]:
-        return tuple(rule for part in self.parts for rule in part.rules)
-
-
-def compose(ops: Sequence[ElementOp], label: str | None = None) -> Chain:
-    """Single element equivalent to applying ``ops`` in list order."""
+def compose(ops: Sequence[ElementOp], label: str | None = None) -> ElementOp:
+    """Single element equivalent to applying ``ops`` in list order: the
+    rules of each, in turn."""
     if not ops:
         raise ValueError("cannot compose an empty element sequence")
     d = ops[0].d
@@ -310,7 +297,7 @@ def compose(ops: Sequence[ElementOp], label: str | None = None) -> Chain:
         raise ValueError("cannot compose elements built for different d")
     if label is None:
         label = " > ".join(op.label for op in ops)
-    return Chain(label, d, tuple(ops))
+    return ElementOp(label, d, [rule for op in ops for rule in op.rules])
 
 
 def _push(rules: Sequence[ElementOp], sources: np.ndarray) -> tuple:
@@ -318,8 +305,8 @@ def _push(rules: Sequence[ElementOp], sources: np.ndarray) -> tuple:
     ``rules``: path p runs from source ``src[p]`` to label ``at[p]``.  A site
     map moves each path; a block splits a path on a pair into one to each
     member, and merges the paths from one source that meet on one label.
-    Also returns the source count, the sorted labels the paths end on, each
-    path's position among them, and the program of ``_coefficients``."""
+    Also returns the sorted labels the paths end on, each path's position
+    among them, and the program of ``_coefficients``."""
     n = space_dim(rules[0].d)
     at, src = sources, np.arange(len(sources))
     program = []
@@ -341,7 +328,7 @@ def _push(rules: Sequence[ElementOp], sources: np.ndarray) -> tuple:
             src, at = np.divmod(merged, n)
             program.append((position, (parent, entry, group, len(merged))))
     outputs, out = np.unique(at, return_inverse=True)
-    return len(sources), at, src, _read_only(outputs), out, tuple(program)
+    return at, src, _read_only(outputs), out, tuple(program)
 
 
 def _coefficients(sources: int, program: tuple, rules: Sequence[ElementOp]) -> np.ndarray:
@@ -386,9 +373,9 @@ def propagate(ops: Sequence[ElementOp], labels: np.ndarray, amps: np.ndarray
     rules = tuple(rule for op in ops for rule in op.rules)
     if not rules:
         return labels, amps
-    sources, _, src, outputs, out, program = _cached(_push, labels, rules)
+    _, src, outputs, out, program = _cached(_push, labels, rules)
     result = np.zeros((*amps.shape[:-1], len(outputs)), dtype=np.complex128)
-    np.add.at(result.T, out, (_coefficients(sources, program, rules) * amps[..., src]).T)
+    np.add.at(result.T, out, (_coefficients(len(labels), program, rules) * amps[..., src]).T)
     return outputs, result
 
 
@@ -400,12 +387,12 @@ def gather(index: np.ndarray, coeff: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _cycle_blocks(rules: Sequence[ElementOp], start: np.ndarray) -> tuple:
     """The labels ``start`` reaches under a cycle's ``rules`` whatever their
-    values, the mask of ``start`` over them, the source count and program
-    of the cycle's paths from them, the block gather index, and each path's
-    term and amplitude in it."""
+    values, the mask of ``start`` over them, the program of the cycle's
+    paths from them, the block gather index, and each path's term and
+    amplitude in it."""
     support = np.sort(start)
     while True:
-        sources, at, src, outputs, _, program = _push(rules, support)
+        at, src, outputs, _, program = _push(rules, support)
         new = outputs[~np.isin(outputs, support, assume_unique=True)]
         if not len(new):
             break
@@ -431,7 +418,7 @@ def _cycle_blocks(rules: Sequence[ElementOp], start: np.ndarray) -> tuple:
     members = np.repeat(columns[:, None], position.max() + 1, axis=1)
     members[root, position] = columns
     return (_read_only(support), _read_only(np.isin(support, start, assume_unique=True)),
-            sources, program, _read_only(np.ascontiguousarray(members[root].T)), position[src], out)
+            program, _read_only(np.ascontiguousarray(members[root].T)), position[src], out)
 
 
 def support_blocks(cycle: ElementOp, start: np.ndarray
@@ -455,9 +442,9 @@ def support_blocks(cycle: ElementOp, start: np.ndarray
     amplitude the input does not reach (the V amplitude of an opaque pixel)
     reads the amplitude itself, both at zero.
     """
-    labels, live, sources, program, index, slot, out = _cached(_cycle_blocks, start, cycle.rules)
+    labels, live, program, index, slot, out = _cached(_cycle_blocks, start, cycle.rules)
     coeff = np.zeros(index.shape, dtype=np.complex128)
-    coeff[slot, out] += _coefficients(sources, program, cycle.rules)
+    coeff[slot, out] += _coefficients(len(labels), program, cycle.rules)
     links = coeff != 0
     while True:
         grown = live | (live[index] & links).any(axis=0)
@@ -745,9 +732,6 @@ class DetectionDistribution:
 
     def total(self) -> float:
         return float(sum(self.probabilities.values()) + self.p_abs)
-
-    def get(self, label: str) -> float:
-        return self.probabilities[label]
 
 
 def detection_distribution(

@@ -204,10 +204,6 @@ class ReconstructedImage:
     transmission: tuple[float | None, ...] | None = None
     intervals: tuple[tuple[float, float] | None, ...] | None = None
 
-    @property
-    def d(self) -> int:
-        return len(self.verdicts)
-
 
 def _hv_clicks(counts: ClickCounts, config: SchemeConfig) -> list[tuple[int, int]]:
     """(h, v) clicks of each pixel, the folded scheme's read back through

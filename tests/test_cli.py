@@ -98,6 +98,18 @@ class TestParsing:
         assert captured.err.startswith(f"usage error: config: {field}: ")
         assert "Traceback" not in captured.err
 
+    def test_config_key_in_both_spellings_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        base = {"scheme": "multipixel-zeno", "d": 2, "pattern": "10"}
+        path.write_text(json.dumps({**base, "sweep_N": [5, 6, 7]}))
+        assert cli.parse_config(["sweep", "--config", str(path)])[1].sweep_n == (5, 6, 7)
+        path.write_text(json.dumps({**base, "sweep-N": [1, 2], "sweep_N": [5, 6, 7]}))
+        code = main(["sweep", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: config: sweep-N: ")
+
     def test_run_rejects_sweep_axes(self, capsys):
         code = main(["run", "--scheme", "multipixel-zeno", "--d", "2",
                      "--pattern", "10", "--sweep-N", "10,20"])
@@ -332,7 +344,8 @@ class TestRunReportProperties:
             report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
             assert main(argv + ["--format", "csv"]) == EXIT_OK, argv
             rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
-            built = build_scheme(cli.parse_config(argv)[1].scheme_config())
+            config = cli.parse_config(argv)[1].scheme_config()
+            built = build_scheme(config)
             budget = (schemes.ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps
                       * built.n_cycles * len(built.cycle_elements))
             analytic = report["analytic"]
@@ -348,6 +361,10 @@ class TestRunReportProperties:
             assert abs(total - 1.0) <= budget, argv
             last = report["trace"][-1]["survival"]
             assert report["survival"] == last and float(rows["survival"]) == last, argv
+            # The final state's own sum also runs over labels the photon
+            # could reach but did not, so it may differ from the trace's by
+            # rounding; the trace's survival is clamped as well.
+            assert abs(run_scheme(config).state.survival - last) <= budget, argv
             assert {key: float(rows[key]) for key in report["detectors"]} == report["detectors"]
 
 

@@ -511,6 +511,24 @@ class TestRulesAgainstDenseReference:
             m[0, 0] = 2.0
 
 
+class TestCompose:
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty element sequence"):
+            core.compose([])
+
+    def test_elements_for_different_d_rejected(self):
+        with pytest.raises(ValueError, match="different d"):
+            core.compose([core.beam_splitter(2), core.beam_splitter(3)])
+
+    def test_nested_composite_holds_the_flat_rules(self):
+        a, b, c = core.beam_splitter(3), core.polarisation_rotator(0.4, 3), core.oam_sorter(3)
+        nested = core.compose([core.compose([a, b]), c])
+        # Elements compare by identity, so this holds for the same objects only.
+        assert nested.rules == (a, b, c)
+        assert nested.rules is nested.rules
+        assert np.array_equal(nested.matrix, core.compose([a, b, c]).matrix)
+
+
 class TestSiteMap:
     # A site map is checked on the labels it is evaluated on.
     def test_non_bijective_site_map_rejected(self):

@@ -13,8 +13,10 @@ holds edge values (a unitary run, where every survival is 1.0 and every
 absorption 0.0, a long run, a 64-pixel semi-transparent run and a run one
 cycle past the engine's block of trace rows), then ``--format csv``
 variants of ``run`` and ``sweep`` (the benchmark streams write JSON only;
-one sweep has rows without a large-N expansion), then ``--help`` for the
-top level and for each subcommand.
+one sweep has rows without a large-N expansion), then a ``run`` and a
+``sweep`` that read the config file ``CONFIG``, written into a temporary
+directory, each with a flag that overrides one of its keys, then ``--help``
+for the top level and for each subcommand.
 Each tree runs them in its own interpreter, through ``ifmsim.cli.main``
 in-process, as the benchmark does.  The script prints every command whose
 exit code, stdout or stderr differs, then a count.  When two JSON reports
@@ -66,6 +68,10 @@ CSV_COMMANDS = (
     ["sweep", "--scheme", "michelson-zeno", "--d", "6", "--N", "5",
      "--sweep-T", "0.019,0.826,0.156,1,0.972,0,0.947"],
 )
+# The config file of CONFIG_COMMANDS, which run with ``--config`` at its path.
+CONFIG = {"scheme": "michelson-zeno", "d": 4, "N": 30, "transmissions": [0.2, 1, 0, 0.6],
+          "format": "json"}
+CONFIG_COMMANDS = (["run", "--N", "64"], ["sweep", "--sweep-N", "1,8,64", "--format", "csv"])
 HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
                  ["verify", "--help"])
 
@@ -91,9 +97,10 @@ with open(sys.argv[2], "w") as results:
 """
 
 
-def commands(seed: int, count: int) -> list[tuple[str, list[str]]]:
+def commands(seed: int, count: int, config: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every replayed command, in order: ``count`` of each
-    workload stream with ``seed``, then the fixed ones."""
+    workload stream with ``seed``, then the fixed ones, reading the config
+    file ``config``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
@@ -103,6 +110,8 @@ def commands(seed: int, count: int) -> list[tuple[str, list[str]]]:
         named += [(f"{workload.name}[{i}]", argv) for i, argv in enumerate(stream)]
     named += [(f"trace[{i}]", argv) for i, argv in enumerate(TRACE_COMMANDS)]
     named += [(f"csv[{i}]", [*argv, "--format", "csv"]) for i, argv in enumerate(CSV_COMMANDS)]
+    named += [(f"config[{i}]", [argv[0], "--config", str(config), *argv[1:]])
+              for i, argv in enumerate(CONFIG_COMMANDS)]
     return named + [("help", argv) for argv in HELP_COMMANDS]
 
 
@@ -207,9 +216,11 @@ def main() -> int:
                         help="commands replayed from each workload stream")
     args = parser.parse_args()
     rev = args.parent
-    named = commands(args.seed, args.commands)
     with tempfile.TemporaryDirectory(prefix="ifmsim-replay-") as tmp:
         tmp_path = Path(tmp)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        named = commands(args.seed, args.commands, config)
         parent = tmp_path / "parent"
         parent.mkdir()
         export(rev, parent)
