@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Generator, Iterator, NamedTuple, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class Field(NamedTuple):
             return tuple(self.item(x) for x in value.split(","))
         except ValueError as exc:
             noun = "integer" if self.item is int else "number"
-            raise UsageError(f"invalid {noun} list {value!r}") from exc
+            raise UsageError(f"{self.key}: invalid {noun} list {value!r}") from exc
 
     def from_json(self, value):
         """Value of a config-file entry, held to the flag's type and choices."""
@@ -267,17 +267,6 @@ def _output(out: str | None) -> Iterator[TextIO]:
 def _emit(text: str, out: str | None) -> None:
     with _output(out) as stream:
         stream.write(text)
-
-
-def _write_all(pieces: Generator[str, None, experiment.ClickCounts],
-               stream: TextIO) -> experiment.ClickCounts:
-    """Write every piece of ``pieces`` to ``stream``; return the generator's value."""
-    while True:
-        try:
-            piece = next(pieces)
-        except StopIteration as stop:
-            return stop.value
-        stream.write(piece)
 
 
 # Trace rows formatted at a time.  A block's text (about 30 KB) is small
@@ -505,7 +494,7 @@ def cmd_run(cfg: RunConfig) -> int:
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution
-    total = sum(dist.probabilities.values()) + dist.p_abs
+    total = dist.total()
     if abs(total - 1.0) > 1e-10:
         sys.stderr.write(f"error: distribution sums to {total!r}, not 1\n")
         return EXIT_NUMERIC
@@ -584,7 +573,7 @@ def cmd_shots(cfg: RunConfig) -> int:
         # The CSV is streamed, so --out is opened before any shot is drawn,
         # and the report is built from the counts of the shots it wrote.
         with _output(cfg.out) as stream:
-            counts = _write_all(experiment.shot_csv(dist, cfg.shots, cfg.seed), stream)
+            counts = experiment.shot_csv(dist, cfg.shots, cfg.seed, stream)
         report = _shots_report(cfg, scheme_config, dist, counts)
     return EXIT_MISMATCH if report["pattern_match"] is False else EXIT_OK
 
@@ -633,6 +622,8 @@ def _shots_report(cfg: RunConfig, scheme_config: SchemeConfig, dist: DetectionDi
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.format == "csv":
+        raise UsageError("format: verify writes a text table or json, not csv")
     results = verify.run_all_checks()
     if cfg.format == "json":
         payload = {

@@ -179,13 +179,20 @@ def input_photon(d: int, mode: int) -> PhotonState:
 
 class ElementOp:
     """A linear optical element on the labels of ``d`` pixels: one of three
-    rules, or the ``rules`` of the elements it composes (:func:`compose`), in
-    order.  A push of a rule depends on its ``key`` (its identity, unless it
-    says otherwise), so elements are shared and not changed once built."""
+    rules, or the rules of the elements it composes, its ``parts``
+    (:func:`compose`), in order.  A push of a rule depends on its ``key`` (its
+    identity, unless it says otherwise), so elements are shared and not
+    changed once built."""
 
-    def __init__(self, label: str, d: int, rules: Sequence["ElementOp"] = ()) -> None:
+    def __init__(self, label: str, d: int, parts: Sequence["ElementOp"] = ()) -> None:
         self.label, self.d = label, d
-        self.rules = tuple(rules) or (self,)
+        self.parts = tuple(parts)
+
+    @property
+    def rules(self) -> tuple["ElementOp", ...]:
+        """A composite's parts, or the rule itself (not stored, so that no
+        rule refers to itself and each is freed without the cyclic GC)."""
+        return self.parts or (self,)
 
     @property
     def key(self) -> object:

@@ -12,8 +12,8 @@ forms it from the k-th output x_k, and its guide-table bucket is x_k >> 52.
 ``sample_distribution`` counts each chunk by bucket; only the shots in the
 few buckets that an outcome boundary crosses are turned into uniforms and
 searched (see ``_GuideTable``), so sampling memory does not grow with the
-shot count.  ``shot_csv`` maps the same draws to outcome ids and writes
-them as CSV, chunk by chunk, and returns their tally.
+shot count.  ``shot_csv`` maps the same draws to outcome ids, writes
+them as CSV to a stream, chunk by chunk, and returns their tally.
 A Zeno readout is one draw from the final distribution: no shot is
 collapsed cycle by cycle.
 
@@ -25,7 +25,7 @@ pixel's best point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -161,20 +161,20 @@ def sample_distribution(
 
 
 def shot_csv(
-    distribution: DetectionDistribution, n_shots: int, seed: int
-) -> Generator[str, None, ClickCounts]:
-    """The shots of ``sample_distribution`` as CSV text, one chunk at a time.
+    distribution: DetectionDistribution, n_shots: int, seed: int, stream: TextIO
+) -> ClickCounts:
+    """Write the shots of ``sample_distribution`` to ``stream`` as CSV, one
+    chunk at a time, and return their click counts.
 
     The header line comes first, then one ``shot_index,outcome_label`` line
-    per shot.  The generator returns the click counts of the shots it wrote
-    (those of ``sample_distribution``), so a caller that writes the CSV and
-    reports the counts draws each shot once.
+    per shot.  The counts are those of ``sample_distribution``, so a caller
+    that writes the CSV and reports the counts draws each shot once.
     """
     labels, table, chunks = _shot_draws(distribution, n_shots, seed)
     tally = np.zeros(len(labels), dtype=np.int64)
     # Each line is a shot index, then its outcome's ",label\n" from this table.
     tails = [f",{label}\n" for label in labels]
-    yield "shot_index,outcome_label\n"
+    stream.write("shot_index,outcome_label\n")
     start = 0
     for raw in chunks:
         ids = table.ids(raw)
@@ -182,7 +182,7 @@ def shot_csv(
         pieces = [""] * (2 * len(ids))
         pieces[0::2] = map(str, range(start, start + len(ids)))
         pieces[1::2] = map(tails.__getitem__, ids.tolist())
-        yield "".join(pieces)
+        stream.write("".join(pieces))
         start += len(ids)
     return _click_counts(labels, tally, n_shots)
 

@@ -46,14 +46,14 @@ from ifmsim.core import (
     PixelPattern,
 )
 
-# Rounding budget of a run: a norm deficit after a cycle within
-# c * eps * (element applications up to that cycle) is rounding, not
-# absorption, with c below.  Over 1120 unitary runs (transparent objects,
-# all six kinds, d <= 24, N <= 10^4; ``tools/rounding_budget.py`` runs them
-# and prints the ratios) the largest |1 - survival| / (eps * applications)
-# over every cycle was 0.5, reached by a single-pass run, and 0.375 in
-# cycling runs (at cycle 1).  The readout takes the last cycle's survival.
-# c = 2 is 4 times the worst.
+# Rounding budget of a run, applied by ``BuiltScheme.rounding_budget``: a
+# norm deficit after a cycle within c * eps * (element applications up to
+# that cycle) is rounding, not absorption, with c below.  Over 1120 unitary
+# runs (transparent objects, all six kinds, d <= 24, N <= 10^4;
+# ``tools/rounding_budget.py`` runs them and prints the ratios) the largest
+# |1 - survival| / (eps * applications) over every cycle was 0.5, reached by
+# a single-pass run, and 0.375 in cycling runs (at cycle 1).  The readout
+# takes the last cycle's survival.  c = 2 is 4 times the worst.
 ROUNDING_ULPS_PER_APPLICATION = 2.0
 
 # Rows of trace states held at once by ``run_scheme``; a power of two.
@@ -200,12 +200,20 @@ class SchemeTrace:
 
 @dataclass(frozen=True)
 class BuiltScheme:
-    """Element sequence and readout of one experiment."""
+    """Element sequence and readout of one experiment, and the input photon
+    it starts from (shared and read-only, ``core.input_photon``)."""
 
     cycle_elements: tuple[ElementOp, ...]
     switch_out: tuple[ElementOp, ...]
     n_cycles: int
     detector_map: DetectorMap
+    start: PhotonState
+
+    def rounding_budget(self) -> np.ndarray:
+        """Norm drift that rounding alone may add by the end of each cycle:
+        ``ROUNDING_ULPS_PER_APPLICATION`` eps per element application."""
+        per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
+        return per_application * np.arange(1, self.n_cycles + 1) * len(self.cycle_elements)
 
 
 class SchemeResult(NamedTuple):
@@ -257,7 +265,8 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     port) directly.  A single-pixel kind is built as its multi-pixel kind
     at d = 1, with the detector labels renamed (``Kind.names``).  The folded
     layout's h/v exchange comes from its Pockels switch-out, not from a
-    renaming.
+    renaming.  The input photon enters a single-pass interferometer on mode
+    0 and a cycling layout on the reference mode d.
     """
     d = config.d
     spec = config.spec
@@ -265,32 +274,33 @@ def build_scheme(config: SchemeConfig) -> BuiltScheme:
     port = core.beam_splitter(d) if spec.single_pass else core.polarising_beam_splitter(d)
     elements = (port, *encoder_elements(config), port)
     if spec.single_pass:
-        return BuiltScheme(elements, (), 1, dmap)
+        return BuiltScheme(elements, (), 1, dmap, core.input_photon(d, 0))
 
     rotator = core.polarisation_rotator(config.effective_theta, d)
+    start = core.input_photon(d, d)
     if spec.layout == FOLDED:
         return BuiltScheme((rotator, core.mirror_reflect("retro", d), rotator, *elements),
-                           (core.pockels_flip(d),), config.n_cycles, dmap)
-    return BuiltScheme((rotator, *elements), (), config.n_cycles, dmap)
+                           (core.pockels_flip(d),), config.n_cycles, dmap, start)
+    return BuiltScheme((rotator, *elements), (), config.n_cycles, dmap, start)
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
-    """Evolve the input photon through ``config`` and read out the detectors.
+    """Evolve the input photon (``BuiltScheme.start``) through ``config`` and
+    read out the detectors.
 
     Returns the final (sub-normalized) state on the labels it can reach, the
     detection distribution and the per-cycle survival trace.  The survival
     after a cycle is the sum of re^2 + im^2 over the reached amplitudes; one
-    within the rounding budget of the element applications so far reads as
-    1.  The switch-out only moves labels, so the readout takes the last
-    cycle's survival and its budget, and the report's survival is the
-    trace's last row.
+    within ``BuiltScheme.rounding_budget`` of that cycle reads as 1.  The
+    switch-out only moves labels, so the readout takes the last cycle's
+    survival and its budget, and the report's survival is the trace's last
+    row.
     """
     built = build_scheme(config)
-    labels, survival, last = _cycles(config, built)
+    labels, survival, last = _cycles(built)
     final_state = PhotonState(config.d, *core.propagate(built.switch_out, labels, last))
 
-    per_application = ROUNDING_ULPS_PER_APPLICATION * np.finfo(np.float64).eps
-    budget = per_application * np.arange(1, built.n_cycles + 1) * len(built.cycle_elements)
+    budget = built.rounding_budget()
     distribution = core.detection_distribution(final_state, built.detector_map,
                                                float(budget[-1]), float(survival[-1]))
     survival[np.abs(1.0 - survival) <= budget] = 1.0
@@ -299,14 +309,13 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     return SchemeResult(final_state, distribution, SchemeTrace(survival, 1.0 - kept))
 
 
-def _cycles(config: SchemeConfig, built: BuiltScheme
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The labels the input can reach in ``built``'s cycles whatever the object
-    (shared by every run of the kind and d), the survival after each cycle
-    before the rounding clamp, and the last state on those labels.  The
+def _cycles(built: BuiltScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labels ``built.start`` can reach in ``built``'s cycles whatever the
+    object (shared by every run of the kind and d), the survival after each
+    cycle before the rounding clamp, and the last state on those labels.  The
     cycles run on the amplitudes the input reaches (``core.support_blocks``)."""
     cycle = core.compose(built.cycle_elements, label="cycle")
-    start = core.input_photon(config.d, 0 if config.spec.single_pass else config.d)
+    start = built.start
     labels, reached, index, coeff = core.support_blocks(cycle, start.labels)
     state = np.zeros(len(labels), dtype=np.complex128)
     state[np.searchsorted(labels, start.labels)] = start.amplitudes

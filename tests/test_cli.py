@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, exit codes, self checks."""
 
 import collections
+import io
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmsim import analytics, cli, core, experiment, schemes, verify
+from ifmsim import analytics, cli, core, experiment, verify
 from ifmsim.cli import EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 from ifmsim.core import PixelPattern
 from ifmsim.schemes import KINDS, SchemeConfig, SchemeTrace, build_scheme, run_scheme
@@ -345,9 +346,7 @@ class TestRunReportProperties:
             assert main(argv + ["--format", "csv"]) == EXIT_OK, argv
             rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
             config = cli.parse_config(argv)[1].scheme_config()
-            built = build_scheme(config)
-            budget = (schemes.ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps
-                      * built.n_cycles * len(built.cycle_elements))
+            budget = build_scheme(config).rounding_budget()[-1]
             analytic = report["analytic"]
             exact = analytic["exact"] or {}
             asymptotic = [*analytic["asymptotic"].values(), analytic["asymptotic_p_abs"]] \
@@ -683,7 +682,9 @@ class TestCmdShots:
         text = capsys.readouterr().out
         dist = cli.run_scheme(cli.RunConfig(scheme="multipixel-zeno", d=2, n_cycles=20,
                                             pattern="10").scheme_config()).distribution
-        assert text == "".join(experiment.shot_csv(dist, n, 6))
+        stream = io.StringIO()
+        experiment.shot_csv(dist, n, 6, stream)
+        assert text == stream.getvalue()
         lines = text.splitlines()
         assert len(lines) == n + 1
         assert lines[-1].startswith(f"{n - 1},")
@@ -774,6 +775,42 @@ def test_bad_output_path_or_seed_is_a_usage_error(tmp_path, capsys, argv, messag
     assert captured.out == ""
 
 
+RUN = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4"]
+
+
+# ``config`` is what the file CFG holds: bytes, a directory in its place
+# (DIR), or nothing at all (None).
+@pytest.mark.parametrize("argv, config, message", [
+    ([*RUN, "--transmissions", "0.1,x"], None, "transmissions: invalid number list"),
+    (["run", "--config", "CFG"], b"[1, 2]", "config: expected a JSON object"),
+    (["run", "--config", "CFG"], None, "config: cannot read"),
+    (["run", "--config", "CFG"], "DIR", "config: cannot read"),
+    (["run", "--config", "CFG"], b'{"scheme": ', "config: invalid JSON config"),
+    (["run", "--config", "CFG"], b'{"pattern": "\xff"}', "config: invalid JSON config"),
+    ([*RUN, "--pattern", "10", "--transmissions", "0.1,0.2"], None,
+     "give either 'pattern' or 'transmissions'"),
+    ([*RUN, "--pattern", "1a"], None, "pattern: "),
+    (["run", "--scheme", "multipixel-zeno", "--N", "4", "--pattern", "10"], None,
+     "missing field: d"),
+    (["sweep", "--scheme", "multipixel-zeno", "--sweep-T", "0.5"], None, "missing field: d"),
+    (["sweep", "--config", "CFG"],
+     b'{"scheme": "multipixel-zeno", "d": 2, "pattern": "10", "sweep-N": []}',
+     "sweep-N: empty sweep axis"),
+])
+def test_invalid_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "cfg.json"
+    if config == "DIR":
+        path.mkdir()
+    elif config is not None:
+        path.write_bytes(config)
+    code = main([str(path) if a == "CFG" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_closed_stdout_is_a_usage_error_without_traceback():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -822,6 +859,13 @@ class TestCmdVerify:
         assert code == EXIT_NUMERIC
         # Caught by the check, not reported as "raised ...".
         assert "FAIL unitarity: max norm drift" in out
+
+    def test_csv_format_is_a_usage_error(self, capsys):
+        code = main(["verify", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("usage error: format: ")
+        assert captured.out == ""
 
     def test_verify_json_format(self, capsys):
         code, report = run_json(capsys, ["verify", "--format", "json"])

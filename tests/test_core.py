@@ -72,6 +72,26 @@ class TestInitialState:
             core.input_photon(2, 3)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PhotonState(0, np.array([], dtype=np.intp), np.array([], dtype=complex)),
+     "dimension must be >= 1"),
+    (lambda: PhotonState(2, np.array([0, 1]), np.array([1.0])), "vectors of one length"),
+    (lambda: PhotonState(2, np.array([1, 0]), np.array([0.6, 0.8])), "labels must increase"),
+    (lambda: basis_index(2, POL_H, 2, 0), "basis labels out of range"),
+    (lambda: core.input_photon(2, 2).overlap(core.input_photon(3, 3)), "different spaces"),
+    (lambda: core.mirror_reflect("other", 2), "unknown mirror kind"),
+    (lambda: PixelPattern.from_bits("12"), "occupancy bits must be 0 or 1"),
+    (lambda: DetectorMap(2, ("D", "D"), lambda pol, ell, mode: mode), "duplicate detector"),
+    (lambda: DetectionDistribution({"D": 1.5}, -0.5), "out of range"),
+    (lambda: core.detection_distribution(core.input_photon(2, 2),
+                                         schemes._detector_map("multipixel-zeno", 3), 0.0, 1.0),
+     "dimensions differ"),
+])
+def test_invalid_input_raises_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestBeamSplitter:
     def test_splits_input_mode(self):
         d = 1
@@ -600,23 +620,17 @@ def reached_blocks(cycle, start):
     return labels[reached], index, coeff
 
 
-def entry_labels(config):
-    """The input photon's labels for ``config``."""
-    return core.input_photon(config.d, 0 if config.spec.single_pass else config.d).labels
-
-
 def kind_configs(kind, rng, cycle_counts, sizes=(1, 2, 5, 12)):
     """Opaque, transparent, binary and semi-transparent objects of ``kind``
-    at each of ``cycle_counts``, with the cycle and the input of each."""
+    at each of ``cycle_counts``, with the cycle and the input photon of each."""
     for d in sizes if KINDS[kind].per_pixel else (1,):
         objects = [PixelPattern.opaque(d), PixelPattern.transparent(d),
                    PixelPattern.from_bits(rng.integers(0, 2, size=d)),
                    PixelPattern(tuple(rng.choice([0.0, 1.0, 0.3, 0.77, 0.05], size=d)))]
         for pattern, n_cycles in itertools.product(objects, cycle_counts):
             config = schemes.SchemeConfig(kind, pattern, n_cycles)
-            cycle = core.compose(schemes.build_scheme(config).cycle_elements)
-            start = core.input_photon(d, 0 if config.spec.single_pass else d).flat
-            yield config, cycle, start
+            built = schemes.build_scheme(config)
+            yield config, core.compose(built.cycle_elements), built.start
 
 
 class TestRestrictedForms:
@@ -665,23 +679,21 @@ class TestRestrictedForms:
         # Row 0 of a run's trace is the block form applied to the input.
         rng = np.random.default_rng(40 + sorted(KINDS).index(kind))
         for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257)):
-            support, index, coeff = reached_blocks(cycle, entry_labels(config))
-            assert np.array_equal(core.gather(index, coeff, start[support]),
-                                  cycle.apply_flat(start)[support]), config
+            support, index, coeff = reached_blocks(cycle, start.labels)
+            assert np.array_equal(core.gather(index, coeff, start.flat[support]),
+                                  cycle.apply_flat(start.flat)[support]), config
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_blocks_equal_the_dense_cycle_on_the_support(self, kind):
         # Seeded property check: the pushed block form against the product
         # of the cycle elements' dense matrices, restricted to the support.
         rng = np.random.default_rng(60 + sorted(KINDS).index(kind))
-        for config, _, _ in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257),
-                                         sizes=(1, 2, 3, 4, 5, 6)):
+        for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257),
+                                                 sizes=(1, 2, 3, 4, 5, 6)):
             product = np.eye(core.space_dim(config.d), dtype=complex)
-            elements = schemes.build_scheme(config).cycle_elements
-            for op in elements:
+            for op in schemes.build_scheme(config).cycle_elements:
                 product = op.matrix @ product
-            support, index, coeff = reached_blocks(core.compose(elements),
-                                                   entry_labels(config))
+            support, index, coeff = reached_blocks(cycle, start.labels)
             restricted = product[np.ix_(support, support)]
             assert np.max(np.abs(dense(index, coeff) - restricted)) <= 1e-15, config
             # The support is closed: nothing it holds leaks outside it.
@@ -728,8 +740,8 @@ class TestRestrictedForms:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_block_squares_equal_merged_squares_bit_for_bit(self, kind):
         rng = np.random.default_rng(sorted(KINDS).index(kind))
-        for config, cycle, _ in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
-            support, index, coeff = reached_blocks(cycle, entry_labels(config))
+        for config, cycle, start in kind_configs(kind, rng, (1, 2, 3, 255, 256, 257, 2048)):
+            support, index, coeff = reached_blocks(cycle, start.labels)
             vec = [1.0, 1j] @ rng.normal(size=(2, len(support)))
             powers = core.block_powers(index, coeff, 12)
             references = merged_doublings(index, coeff, 12)

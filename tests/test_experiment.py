@@ -1,11 +1,13 @@
 """Shot sampling, reconstruction and estimation tests."""
 
+import io
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,17 +66,9 @@ def labels_of(distribution):
 
 
 def csv_of(distribution, n, seed):
-    return "".join(shot_csv(distribution, n, seed))
-
-
-def csv_counts(distribution, n, seed):
-    """The click counts ``shot_csv`` returns after its last chunk."""
-    chunks = shot_csv(distribution, n, seed)
-    while True:
-        try:
-            next(chunks)
-        except StopIteration as stop:
-            return stop.value
+    stream = io.StringIO()
+    shot_csv(distribution, n, seed, stream)
+    return stream.getvalue()
 
 
 def distribution_of(probabilities):
@@ -138,8 +132,9 @@ class TestSampling:
         dist = run_scheme(SchemeConfig("michelson-zeno", PixelPattern((0.4, 1.0, 0.0)), 9)
                           ).distribution
         n = 2 * CHUNK + 3
-        chunks = shot_csv(dist, n, seed=11)
-        assert list(chunks) == list(f_string_csv(dist, n, seed=11))
+        chunks = []
+        shot_csv(dist, n, 11, SimpleNamespace(write=chunks.append))
+        assert chunks == list(f_string_csv(dist, n, seed=11))
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -179,8 +174,10 @@ class TestSampling:
         cfg = SchemeConfig("ev-single-pass", PixelPattern.from_bits("0"))
         with pytest.raises(ValueError):
             sample_shots(cfg, 0, seed=0)
+        stream = io.StringIO()
         with pytest.raises(ValueError):
-            next(shot_csv(run_scheme(cfg).distribution, 0, seed=0))
+            shot_csv(run_scheme(cfg).distribution, 0, 0, stream)
+        assert stream.getvalue() == ""
 
 
 def assert_matches_full_search(probabilities, n, seed):
@@ -339,7 +336,7 @@ class TestSamplerProperties:
             expected = ClickCounts(dict(zip(labels_of(dist)[:-1], map(int, tally[:-1]))),
                                    int(tally[-1]), n)
             assert counts == expected, (k, seed)
-            assert csv_counts(dist, n, seed) == expected, (k, seed)
+            assert shot_csv(dist, n, seed, io.StringIO()) == expected, (k, seed)
         assert below_one >= 5
 
 

@@ -1,5 +1,6 @@
 """Scheme assembly and execution: figures, traces, equivalences."""
 
+import gc
 import math
 import tracemalloc
 
@@ -12,7 +13,6 @@ from ifmsim.core import POL_H, POL_V, PixelPattern
 from ifmsim.schemes import (
     BLOCK_ROWS,
     KINDS,
-    ROUNDING_ULPS_PER_APPLICATION,
     SchemeConfig,
     build_scheme,
     encoder_elements,
@@ -329,7 +329,7 @@ def dense_run(config):
     """Reference evolution: every element's dense matrix applied in turn."""
     built = build_scheme(config)
     cycle = [op.matrix for op in built.cycle_elements]
-    vec = core.input_photon(config.d, 0 if config.spec.single_pass else config.d).flat
+    vec = built.start.flat
     survival = []
     for _ in range(built.n_cycles):
         for matrix in cycle:
@@ -377,7 +377,7 @@ def sequential_run(config):
     """Reference evolution: the composed cycle applied to the full space once per cycle."""
     built = build_scheme(config)
     cycle = core.compose(built.cycle_elements)
-    vec = core.input_photon(config.d, 0 if config.spec.single_pass else config.d).flat
+    vec = built.start.flat
     survival = []
     for _ in range(built.n_cycles):
         vec = cycle.apply_flat(vec)
@@ -388,10 +388,8 @@ def sequential_run(config):
 
 
 def run_budget(config):
-    """Rounding budget of the whole run: 2 eps per element application of its cycles."""
-    built = build_scheme(config)
-    applications = built.n_cycles * len(built.cycle_elements)
-    return ROUNDING_ULPS_PER_APPLICATION * np.finfo(float).eps * applications
+    """Rounding budget of the whole run, after its last cycle."""
+    return build_scheme(config).rounding_budget()[-1]
 
 
 class TestDoublingEngine:
@@ -431,9 +429,9 @@ class TestDoublingEngine:
         for d in (1, 4, 8) if KINDS[kind].per_pixel else (1,):
             for pattern in (PixelPattern.transparent(d), PixelPattern((0.5,) * d)):
                 config = SchemeConfig(kind, pattern, 300)
-                cycle = core.compose(build_scheme(config).cycle_elements)
-                start = core.input_photon(d, d).labels
-                labels, reached, index, coeff = core.support_blocks(cycle, start)
+                built = build_scheme(config)
+                labels, reached, index, coeff = core.support_blocks(
+                    core.compose(built.cycle_elements), built.start.labels)
                 assert len(reached) <= len(labels) <= 2 * d and index.shape[0] <= 2
 
 
@@ -444,10 +442,10 @@ class TestSlabbedGathers:
         config = SchemeConfig(kind, PixelPattern(transmissions), 2 * BLOCK_ROWS + 7)
         built = build_scheme(config)
         monkeypatch.setattr(schemes, "SLAB_BYTES", 10**9)
-        _, one_shot, last = schemes._cycles(config, built)
+        _, one_shot, last = schemes._cycles(built)
         for slab_bytes in (1, 1000, schemes.SLAB_BYTES):
             monkeypatch.setattr(schemes, "SLAB_BYTES", slab_bytes)
-            _, survival, slabbed = schemes._cycles(config, built)
+            _, survival, slabbed = schemes._cycles(built)
             assert np.array_equal(survival, one_shot) and np.array_equal(slabbed, last)
 
 
@@ -469,6 +467,20 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * core.space_dim(d)
+
+    def test_runs_leave_no_reference_cycles(self):
+        # No element refers to itself, so what a run builds (its rotator,
+        # its object's factors) is freed without the cyclic collector.
+        config = SchemeConfig("michelson-zeno", PixelPattern.from_bits("1010"), 40)
+        run_scheme(config)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(200):
+                run_scheme(config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSemitransparentTraceClosedForm:

@@ -22,8 +22,8 @@ in-process, as the benchmark does.  The script prints every command whose
 exit code, stdout or stderr differs, then a count.  When two JSON reports
 differ in float values only, it lists each moved field, list positions
 folded into ``[*]``, with its largest change and, for ``run`` and
-``shots``, that change as a fraction of the run's rounding budget (2 eps
-per element application of its cycles); a z-score's change is first
+``shots``, that change as a fraction of the run's rounding budget after
+its last cycle (``BuiltScheme.rounding_budget``); a z-score's change is first
 turned into the change of p that moves it that far.  Any other difference
 is shown as a unified diff.  The two interpreters run one after the other,
 the parent first.  No time is reported: the tree that runs second reads
@@ -171,9 +171,7 @@ def rounding_budget(argv: list[str]) -> float | None:
     command, cfg = cli.parse_config(argv)
     if command not in ("run", "shots"):
         return None
-    built = schemes.build_scheme(cfg.scheme_config())
-    applications = built.n_cycles * len(built.cycle_elements)
-    return schemes.ROUNDING_ULPS_PER_APPLICATION * sys.float_info.epsilon * applications
+    return float(schemes.build_scheme(cfg.scheme_config()).rounding_budget()[-1])
 
 
 def float_report(argv: list[str], old: list, new: list) -> list[str] | None:

@@ -10,7 +10,9 @@ kind) and 15 cycle counts from 1 to 10^4, around the engine's block of
 trace rows too, and the two single-pass kinds once each at d = 1..24.  It
 prints the largest ratio |1 - survival| / (eps * element applications) of
 every trace row before the clamp, counting the applications up to that
-row, over all runs and over the cycling runs.  A run's readout takes the
+row, over all runs and over the cycling runs: the row's share of its
+``BuiltScheme.rounding_budget()`` entry, times
+``schemes.ROUNDING_ULPS_PER_APPLICATION``.  A run's readout takes the
 survival of its last row (the switch-out only moves labels), so these
 ratios cover the final states too.  ``schemes.ROUNDING_ULPS_PER_APPLICATION``
 is set from them; the script exits 1 when either reaches it, and 0
@@ -31,7 +33,6 @@ from ifmsim.schemes import KINDS, SchemeConfig  # noqa: E402
 
 CYCLES = (1, 2, 3, 4, 7, 16, 63, 255, 256, 257, 513, 1000, 2048, 4097, 10_000)
 PIXELS = range(1, 25)
-EPS = np.finfo(np.float64).eps
 
 
 def configs():
@@ -47,10 +48,10 @@ def main() -> int:
     for config in configs():
         runs += 1
         built = schemes.build_scheme(config)
-        length = len(built.cycle_elements)
         # Survival after each cycle as the engine computes it, before the clamp.
-        trace = schemes._cycles(config, built)[1]
-        row_ratios = np.abs(1.0 - trace) / (EPS * length * np.arange(1, len(trace) + 1))
+        trace = schemes._cycles(built)[1]
+        row_ratios = (schemes.ROUNDING_ULPS_PER_APPLICATION * np.abs(1.0 - trace)
+                      / built.rounding_budget())
         row = int(np.argmax(row_ratios))
         groups = ("all",) if config.spec.single_pass else ("all", "cycling")
         for group in groups:
