@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each taking ``--config`` and the flags of the fields it reads
+(``Field.commands``; any other flag exits 2, as an unknown one does):
 
 * ``run``    - evolve one configuration exactly and report the detection
                distribution, the closed-form comparison and the cycle trace.
@@ -53,15 +54,16 @@ class UsageError(Exception):
 class Field(NamedTuple):
     """One configuration field, read from a flag or a config-file key.
 
-    ``key`` is the config-file key and, after ``--``, the flag; ``attr`` is
-    the RunConfig attribute and the flag's dest.  Flag text converts to
-    ``item`` (a comma-separated list of it when ``many``); a config-file
-    value must already be of that type (a JSON list of it when ``many``).
-    Both sources are held to ``choices``.
+    ``key`` is the config-file key and, after ``--``, the flag of each
+    subcommand in ``commands``; ``attr`` is the RunConfig attribute and the
+    flag's dest.  Flag text converts to ``item`` (a comma-separated list of
+    it when ``many``); a config-file value must already be of that type (a
+    JSON list of it when ``many``).  Both sources are held to ``choices``.
     """
 
     key: str
     attr: str
+    commands: tuple[str, ...]
     item: type = str
     many: bool = False
     choices: tuple[str, ...] | None = None
@@ -92,21 +94,29 @@ class Field(NamedTuple):
         return tuple(self.item(x) for x in items) if self.many else value
 
 
+# The subcommands that build a scheme, and so read its fields.
+SCHEME_COMMANDS = ("run", "sweep", "shots")
+
 # Every field of RunConfig, in flag order.  The config-file aliases
 # ``sweep_N``/``sweep_T`` are the keys with ``-`` written as ``_``.
 FIELDS = (
-    Field("scheme", "scheme", choices=tuple(sorted(KINDS))),
-    Field("d", "d", int, help="pixel count"),
-    Field("N", "n_cycles", int, help="cycle count"),
-    Field("pattern", "pattern", help="occupancy bits, e.g. 1010 (1 = opaque)"),
-    Field("transmissions", "transmissions", float, many=True,
+    Field("scheme", "scheme", SCHEME_COMMANDS, choices=tuple(sorted(KINDS)), help="scheme kind"),
+    Field("d", "d", SCHEME_COMMANDS, int, help="pixel count"),
+    Field("N", "n_cycles", SCHEME_COMMANDS, int, help="cycle count"),
+    Field("pattern", "pattern", SCHEME_COMMANDS, help="occupancy bits, e.g. 1010 (1 = opaque)"),
+    Field("transmissions", "transmissions", SCHEME_COMMANDS, float, many=True,
           help="comma-separated per-pixel transmissions in [0, 1]"),
-    Field("shots", "shots", int),
-    Field("seed", "seed", int),
-    Field("sweep-N", "sweep_n", int, many=True, help="comma-separated cycle counts"),
-    Field("sweep-T", "sweep_t", float, many=True, help="comma-separated uniform transmissions"),
-    Field("format", "format", choices=("json", "csv")),
-    Field("out", "out", metavar="PATH"),
+    Field("shots", "shots", ("shots",), int, help=f"photons sent (default {DEFAULT_SHOTS})"),
+    Field("seed", "seed", ("shots",), int,
+          help=f"random seed, 0 <= seed < 2**128 (default {DEFAULT_SEED})"),
+    Field("sweep-N", "sweep_n", ("sweep",), int, many=True, help="comma-separated cycle counts"),
+    Field("sweep-T", "sweep_t", ("sweep",), float, many=True,
+          help="comma-separated uniform transmissions"),
+    Field("format", "format", (*SCHEME_COMMANDS, "verify"), choices=("json", "csv"),
+          help="report format (default json); verify takes json only "
+               "and writes a text table without it"),
+    Field("out", "out", (*SCHEME_COMMANDS, "verify"), metavar="PATH",
+          help="write to PATH, not stdout"),
 )
 
 
@@ -133,7 +143,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Config from file keys, each in one spelling; a null or missing key keeps the default."""
+        """Config from the keys of any command, each in one spelling; null keeps the default."""
         if not isinstance(data, dict):
             raise UsageError("config: expected a JSON object")
         known = {k for f in FIELDS for k in (f.key, f.key.replace("-", "_"))}
@@ -208,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, metavar="FILE",
-                       help="JSON file with the same keys as the flags")
-        for field in FIELDS:
+                       help="JSON file keyed like the flags; keys of other "
+                            "commands are type-checked and ignored")
+        for field in (f for f in FIELDS if name in f.commands):
             p.add_argument(f"--{field.key}", type=str if field.many else field.item,
                            default=None, dest=field.attr, choices=field.choices,
                            help=field.help, metavar=field.metavar)
@@ -230,7 +241,7 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
             raise UsageError(f"config: invalid JSON config: {exc}") from exc
         file_cfg = RunConfig.from_dict(data)
     flags = {f.attr: f.from_flag(getattr(args, f.attr))
-             for f in FIELDS if getattr(args, f.attr) is not None}
+             for f in FIELDS if getattr(args, f.attr, None) is not None}
     return args.command, replace(file_cfg, **flags)
 
 
@@ -484,13 +495,7 @@ def _analytic_block(config: SchemeConfig) -> dict:
     return block
 
 
-def _reject_sweep_axes(cfg: RunConfig, command: str) -> None:
-    if cfg.sweep_n is not None or cfg.sweep_t is not None:
-        raise UsageError(f"{command} is a single-run command; drop sweep-N/sweep-T")
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    _reject_sweep_axes(cfg, "run")
     scheme_config = cfg.scheme_config()
     result = run_scheme(scheme_config)
     dist = result.distribution
@@ -556,7 +561,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_shots(cfg: RunConfig) -> int:
-    _reject_sweep_axes(cfg, "shots")
     if cfg.shots < 1:
         raise UsageError(f"shots must be >= 1, got {cfg.shots}")
     if cfg.seed < 0:

@@ -665,11 +665,20 @@ class PixelPattern:
 
     @classmethod
     def from_bits(cls, bits: str | Sequence[int]) -> "PixelPattern":
-        """Pattern from occupancy bits, 1 = opaque, 0 = transparent."""
-        values = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in values):
-            raise ValueError(f"occupancy bits must be 0 or 1, got {bits!r}")
-        return cls(tuple(0.0 if b else 1.0 for b in values))
+        """Pattern from occupancy bits, 1 = opaque, 0 = transparent.
+
+        A bit is the character ``"0"`` or ``"1"`` or the integer 0 or 1;
+        anything else, a float or another digit included, is refused.
+        """
+        transmissions = []
+        for b in bits:
+            if isinstance(b, str) and b in ("0", "1"):
+                transmissions.append(0.0 if b == "1" else 1.0)
+            elif isinstance(b, (int, np.integer)) and b in (0, 1):
+                transmissions.append(0.0 if b else 1.0)
+            else:
+                raise ValueError(f"occupancy bits must be 0 or 1, got {bits!r}")
+        return cls(tuple(transmissions))
 
     @classmethod
     def opaque(cls, d: int) -> "PixelPattern":

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, exit codes, self checks."""
 
+import argparse
 import collections
 import io
 import json
@@ -112,10 +113,11 @@ class TestParsing:
         assert captured.err.startswith("usage error: config: sweep-N: ")
 
     def test_run_rejects_sweep_axes(self, capsys):
-        code = main(["run", "--scheme", "multipixel-zeno", "--d", "2",
-                     "--pattern", "10", "--sweep-N", "10,20"])
-        assert code == EXIT_USAGE
-        assert "sweep" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scheme", "multipixel-zeno", "--d", "2",
+                  "--pattern", "10", "--sweep-N", "10,20"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--sweep-N" in capsys.readouterr().err
 
     def test_config_round_trip(self):
         cfg = RunConfig(scheme="multipixel-zeno", d=4, n_cycles=10, pattern="1010",
@@ -126,6 +128,91 @@ class TestParsing:
         cfg = RunConfig(scheme="semitransparent-zeno", d=2, n_cycles=50,
                         transmissions=(0.1, 0.9), sweep_t=(0.0, 0.5))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# The flags each subcommand takes besides --config, written out apart from
+# cli.FIELDS so that the table there is checked against it.
+SCHEME_FLAGS = ["--scheme", "--d", "--N", "--pattern", "--transmissions", "--format", "--out"]
+TAKES = {
+    "run": SCHEME_FLAGS,
+    "sweep": [*SCHEME_FLAGS, "--sweep-N", "--sweep-T"],
+    "shots": [*SCHEME_FLAGS, "--shots", "--seed"],
+    "verify": ["--format", "--out"],
+}
+# A command each subcommand accepts, and a value each flag accepts.
+ACCEPTED = {
+    "run": ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10"],
+    "sweep": ["sweep", "--scheme", "multipixel-zeno", "--d", "2", "--pattern", "10",
+              "--sweep-N", "1,2"],
+    "shots": ["shots", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4", "--pattern", "10",
+              "--shots", "100"],
+    "verify": ["verify"],
+}
+FLAG_VALUE = {"--scheme": "multipixel-zeno", "--d": "3", "--N": "4", "--pattern": "10",
+              "--transmissions": "0.5,1", "--shots": "9", "--seed": "9", "--sweep-N": "2",
+              "--sweep-T": "0.5", "--format": "json", "--out": "report.json"}
+FOREIGN = [(command, flag) for command, flags in TAKES.items()
+           for flag in FLAG_VALUE if flag not in flags]
+
+
+def subparser_flags() -> dict[str, set[str]]:
+    """The option strings of each subparser of the shared parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+class TestCommandFlags:
+    def test_subparsers_take_the_fields_they_read(self):
+        flags = subparser_flags()
+        assert flags == {
+            command: {"-h", "--help", "--config",
+                      *(f"--{f.key}" for f in cli.FIELDS if command in f.commands)}
+            for command in cli.COMMANDS}
+        assert {command: flags[command] - {"-h", "--help", "--config"}
+                for command in flags} == {command: set(t) for command, t in TAKES.items()}
+        assert sum(len(f) - 2 for f in flags.values()) == 31
+        assert len(FOREIGN) == 17
+
+    @pytest.mark.parametrize("command", TAKES)
+    def test_accepted_command_parses(self, command):
+        assert cli.parse_config(ACCEPTED[command])[0] == command
+
+    @pytest.mark.parametrize("command, flag", FOREIGN)
+    def test_foreign_flag_exits_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*ACCEPTED[command], flag, FLAG_VALUE[flag]])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {FLAG_VALUE[flag]}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", TAKES)
+    def test_config_file_may_hold_every_key(self, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        data = {"scheme": "multipixel-zeno", "d": 2, "N": 4, "pattern": "10",
+                "transmissions": [0.5, 1.0], "shots": 100, "seed": 3, "sweep-N": [1, 2],
+                "sweep-T": [0.5], "format": "json", "out": str(tmp_path / "report.json")}
+        assert [f.key for f in cli.FIELDS] == list(data)
+        path.write_text(json.dumps(data))
+        assert cli.parse_config([command, "--config", str(path)]) == (
+            command, RunConfig.from_dict(data))
+
+    @pytest.mark.parametrize("command", ["run", "shots"])
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path, capsys, command):
+        argv = [command, "--scheme", "multipixel-zeno", "--d", "2", "--N", "4",
+                "--pattern", "10"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep-N": [1, 2], "sweep-T": [0.5], "seed": 0}))
+        code, plain = run_json(capsys, argv)
+        assert code == EXIT_OK
+        code, report = run_json(capsys, [*argv, "--config", str(path)])
+        assert code == EXIT_OK
+        assert report.pop("config") == {**plain.pop("config"), "sweep-N": [1, 2],
+                                        "sweep-T": [0.5]}
+        assert report == plain
 
 
 class TestSharedParser:
@@ -178,10 +265,13 @@ class TestCmdRun:
         assert code == EXIT_OK
         assert report["p_abs"] == 0.0
 
-    def test_report_config_round_trips(self, capsys):
+    def test_report_config_round_trips(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 9}))
         argv = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4",
-                "--pattern", "01", "--seed", "9"]
+                "--pattern", "01", "--config", str(path)]
         _, report = run_json(capsys, argv)
+        assert report["config"]["seed"] == 9
         _, cfg = cli.parse_config(argv)
         assert RunConfig.from_dict(report["config"]) == cfg
 
@@ -796,6 +886,12 @@ RUN = ["run", "--scheme", "multipixel-zeno", "--d", "2", "--N", "4"]
     (["sweep", "--config", "CFG"],
      b'{"scheme": "multipixel-zeno", "d": 2, "pattern": "10", "sweep-N": []}',
      "sweep-N: empty sweep axis"),
+    ([*RUN, "--pattern", "\u0661\u0660"], None,
+     "pattern: occupancy bits must be 0 or 1, got '\u0661\u0660'"),
+    ([*RUN, "--pattern", "1a"], None, "pattern: occupancy bits must be 0 or 1, got '1a'"),
+    (["run", "--config", "CFG"],
+     b'{"scheme": "multipixel-zeno", "d": 2, "N": 4, "pattern": "1a"}',
+     "pattern: occupancy bits must be 0 or 1, got '1a'"),
 ])
 def test_invalid_input_is_a_usage_error(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"

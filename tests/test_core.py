@@ -397,6 +397,14 @@ class TestPixelPattern:
         assert pattern.transmissions == (0.0, 1.0, 0.0, 1.0)
         assert pattern.n_abs == 2
         assert pattern.is_binary
+        assert PixelPattern.from_bits([1, 0, 1, 0]) == pattern
+        assert PixelPattern.from_bits(np.array([1, 0, 1, 0])) == pattern
+
+    # Arabic-Indic "10", which int() reads as 10, and a float that int() truncates.
+    @pytest.mark.parametrize("bits", ["1a", "\u0661\u0660", [1.7, 0], [1, 2], ["10"]])
+    def test_from_bits_takes_only_0_and_1(self, bits):
+        with pytest.raises(ValueError, match="occupancy bits must be 0 or 1"):
+            PixelPattern.from_bits(bits)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,9 @@ variants of ``run`` and ``sweep`` (the benchmark streams write JSON only;
 one sweep has rows without a large-N expansion), then a ``run`` and a
 ``sweep`` that read the config file ``CONFIG``, written into a temporary
 directory, each with a flag that overrides one of its keys, then ``--help``
-for the top level and for each subcommand.
+for the top level and for each subcommand, then the usage errors of
+``ERROR_COMMANDS``: a flag of another command under each subcommand, which
+exits 2 in argparse, and an occupancy bit that is not 0 or 1.
 Each tree runs them in its own interpreter, through ``ifmsim.cli.main``
 in-process, as the benchmark does.  The script prints every command whose
 exit code, stdout or stderr differs, then a count.  When two JSON reports
@@ -74,6 +76,14 @@ CONFIG = {"scheme": "michelson-zeno", "d": 4, "N": 30, "transmissions": [0.2, 1,
 CONFIG_COMMANDS = (["run", "--N", "64"], ["sweep", "--sweep-N", "1,8,64", "--format", "csv"])
 HELP_COMMANDS = (["--help"], ["run", "--help"], ["sweep", "--help"], ["shots", "--help"],
                  ["verify", "--help"])
+_SCHEME = ["--scheme", "multipixel-zeno", "--d", "2", "--N", "4"]
+ERROR_COMMANDS = (
+    ["run", *_SCHEME, "--pattern", "10", "--seed", "1"],
+    ["sweep", *_SCHEME, "--pattern", "10", "--sweep-N", "1,2", "--shots", "9"],
+    ["shots", *_SCHEME, "--pattern", "10", "--sweep-N", "2"],
+    ["verify", "--d", "3"],
+    ["run", *_SCHEME, "--pattern", "1a"],
+)
 
 # Runs each command of the JSON list in argv[1] and writes one JSON line
 # [exit, stdout, stderr] per command to argv[2].
@@ -112,7 +122,8 @@ def commands(seed: int, count: int, config: Path) -> list[tuple[str, list[str]]]
     named += [(f"csv[{i}]", [*argv, "--format", "csv"]) for i, argv in enumerate(CSV_COMMANDS)]
     named += [(f"config[{i}]", [argv[0], "--config", str(config), *argv[1:]])
               for i, argv in enumerate(CONFIG_COMMANDS)]
-    return named + [("help", argv) for argv in HELP_COMMANDS]
+    named += [("help", argv) for argv in HELP_COMMANDS]
+    return named + [(f"error[{i}]", argv) for i, argv in enumerate(ERROR_COMMANDS)]
 
 
 def export(rev: str, dest: Path) -> None:
